@@ -8,9 +8,17 @@
 // Arrival rates are expressed relative to each degree's bank-limited
 // capacity (superbank lanes / pipeline beat from model::Performance), so
 // one sweep spans under-load (0.25x), the knee (1x) and overload (2x)
-// for every degree. Everything is seeded; bench_runtime_service.json is
-// bit-reproducible run to run.
+// for every degree. Everything is seeded; the simulated metrics in
+// bench_runtime_service.json are bit-reproducible run to run.
+//
+// A second table measures host time: wall-clock microseconds per
+// completion with the queue held full at capacity 128, 1024 and 4096,
+// and the 4096/128 ratio. Dispatch cost that grows with the backlog
+// shows up as that ratio moving away from 1. These host_* metrics are
+// not in the committed baselines, so bench_compare reports them as
+// notes rather than gating on them.
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -28,6 +36,32 @@ double class_capacity_per_s(const cp::runtime::ServingConfig& cfg,
                             std::uint32_t degree) {
   return cp::model::class_capacity_per_s(cfg.chip, degree, /*failed_banks=*/0,
                                          cfg.cycle_ns);
+}
+
+/// Host microseconds per completion of a saturated run (n = 256, wfq,
+/// analytic backend, 2x capacity, ~9000 arrivals) with the admission
+/// queue bounded at `capacity`: fastest of three runs.
+double host_us_per_completion(std::size_t capacity) {
+  cp::runtime::ServingConfig cfg;
+  cfg.policy = "wfq";
+  cfg.backend = "analytic";
+  cfg.workload.mix = {{256, 1.0}};
+  cfg.workload.tenants = 4;
+  cfg.workload.seed = 2026;
+  cfg.queue_capacity = capacity;
+  const double rate = 2.0 * class_capacity_per_s(cfg, 256);
+  cfg.arrival_rate_per_s = rate;
+  cfg.duration_us = 9000 * 1e6 / rate;
+  double best = 0;
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = cp::runtime::ServingRuntime(cfg).run();
+    const std::chrono::duration<double, std::micro> dt =
+        std::chrono::steady_clock::now() - t0;
+    const double us = dt.count() / static_cast<double>(r.completed);
+    if (i == 0 || us < best) best = us;
+  }
+  return best;
 }
 
 }  // namespace
@@ -100,6 +134,23 @@ int main() {
                "while p99 latency runs away; the policies separate in *who*\n"
                "waits: sjf favours short service, edf the tightest deadline,\n"
                "wfq the tenant behind on its weighted bank-time share.\n";
+
+  std::cout << "\n== Host cost of dispatch with a full queue ==\n"
+            << "(n = 256, wfq, analytic backend, 2x capacity; wall-clock,\n"
+            << "fastest of 3 runs)\n\n";
+  cp::Table h({"queue capacity", "host us / completion"});
+  std::vector<double> host_us;
+  for (const std::size_t capacity : {128u, 1024u, 4096u}) {
+    host_us.push_back(host_us_per_completion(capacity));
+    rep.add("host_us_per_completion", host_us.back(), "us",
+            {{"queue_capacity", std::to_string(capacity)}});
+    h.add_row({std::to_string(capacity), cp::fmt_f(host_us.back(), 2)});
+  }
+  h.print(std::cout);
+  const double ratio = host_us.back() / host_us.front();
+  rep.add("host_us_per_completion_ratio_4096_over_128", ratio, "x");
+  std::cout << "4096 / 128: " << cp::fmt_f(ratio, 2)
+            << "x (1 = dispatch cost flat in the backlog)\n";
   rep.write_default();
   return 0;
 }

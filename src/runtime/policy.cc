@@ -4,6 +4,17 @@
 
 namespace cryptopim::runtime {
 
+std::size_t Policy::pick(std::span<const Request> queue,
+                         const std::vector<bool>& eligible,
+                         const PolicyContext& ctx) const {
+  std::size_t best = npos;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    if (!eligible[i]) continue;
+    if (best == npos || before(queue[i], queue[best], ctx)) best = i;
+  }
+  return best;
+}
+
 namespace {
 
 /// Stable final tie-break: older request first, then lower id.
@@ -14,80 +25,63 @@ bool older(const Request& a, const Request& b) noexcept {
   return a.id < b.id;
 }
 
-/// Shared scan: return the eligible index minimising `better`.
-template <typename Better>
-std::size_t scan(std::span<const Request> queue, const std::vector<bool>& eligible,
-                 Better&& better) {
-  std::size_t best = Policy::npos;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (!eligible[i]) continue;
-    if (best == Policy::npos || better(queue[i], queue[best])) best = i;
-  }
-  return best;
-}
-
 class FifoPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "fifo"; }
-  std::size_t pick(std::span<const Request> queue,
-                   const std::vector<bool>& eligible,
-                   const PolicyContext&) const override {
-    return scan(queue, eligible,
-                [](const Request& a, const Request& b) { return older(a, b); });
+  bool before(const Request& a, const Request& b,
+              const PolicyContext&) const noexcept override {
+    return older(a, b);
   }
 };
 
 class SjfPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "sjf"; }
-  std::size_t pick(std::span<const Request> queue,
-                   const std::vector<bool>& eligible,
-                   const PolicyContext&) const override {
-    return scan(queue, eligible, [](const Request& a, const Request& b) {
-      if (a.service_cycles != b.service_cycles) {
-        return a.service_cycles < b.service_cycles;
-      }
-      return older(a, b);
-    });
+  bool before(const Request& a, const Request& b,
+              const PolicyContext&) const noexcept override {
+    if (a.service_cycles != b.service_cycles) {
+      return a.service_cycles < b.service_cycles;
+    }
+    return older(a, b);
   }
 };
 
 class EdfPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "edf"; }
-  std::size_t pick(std::span<const Request> queue,
-                   const std::vector<bool>& eligible,
-                   const PolicyContext&) const override {
-    return scan(queue, eligible, [](const Request& a, const Request& b) {
-      // deadline 0 = none: sorts after every real deadline.
-      const std::uint64_t da = a.deadline_cycle
-                                   ? a.deadline_cycle
-                                   : std::numeric_limits<std::uint64_t>::max();
-      const std::uint64_t db = b.deadline_cycle
-                                   ? b.deadline_cycle
-                                   : std::numeric_limits<std::uint64_t>::max();
-      if (da != db) return da < db;
-      return older(a, b);
-    });
+  bool before(const Request& a, const Request& b,
+              const PolicyContext&) const noexcept override {
+    // deadline 0 = none: sorts after every real deadline.
+    const std::uint64_t da = a.deadline_cycle
+                                 ? a.deadline_cycle
+                                 : std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t db = b.deadline_cycle
+                                 ? b.deadline_cycle
+                                 : std::numeric_limits<std::uint64_t>::max();
+    if (da != db) return da < db;
+    return older(a, b);
   }
 };
 
 class WfqPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "wfq"; }
-  std::size_t pick(std::span<const Request> queue,
-                   const std::vector<bool>& eligible,
-                   const PolicyContext& ctx) const override {
-    const auto usage = [&ctx](const Request& r) {
-      return r.tenant < ctx.tenant_usage.size() ? ctx.tenant_usage[r.tenant]
-                                                : 0.0;
-    };
-    return scan(queue, eligible,
-                [&usage](const Request& a, const Request& b) {
-                  const double ua = usage(a), ub = usage(b);
-                  if (ua != ub) return ua < ub;
-                  return older(a, b);
-                });
+  bool before(const Request& a, const Request& b,
+              const PolicyContext& ctx) const noexcept override {
+    const double ua = usage(a, ctx), ub = usage(b, ctx);
+    if (ua != ub) return ua < ub;
+    return older(a, b);
+  }
+  /// One bucket per tenant: usage is per tenant, so within a bucket the
+  /// order is (arrival, id) whatever the live usage.
+  std::uint32_t bucket(const Request& r) const noexcept override {
+    return r.tenant;
+  }
+
+ private:
+  static double usage(const Request& r, const PolicyContext& ctx) noexcept {
+    return r.tenant < ctx.tenant_usage.size() ? ctx.tenant_usage[r.tenant]
+                                              : 0.0;
   }
 };
 

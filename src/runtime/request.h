@@ -56,4 +56,11 @@ struct Request {
   std::uint64_t parent_mask = 0;
 };
 
+/// A laneless protocol host op (sampling / aggregation): it runs at a
+/// fixed host cost and never waits for a superbank lane.
+inline bool is_host_op(const Request& r) noexcept {
+  return r.proto_id != 0 &&
+         (r.op_class == OpClass::kSample || r.op_class == OpClass::kAggregate);
+}
+
 }  // namespace cryptopim::runtime

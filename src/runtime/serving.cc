@@ -256,6 +256,7 @@ void ServingRuntime::prime() {
   if (!policy_) {
     throw std::invalid_argument("unknown scheduling policy: " + cfg_.policy);
   }
+  queue_.reset(*policy_);
   backend_ = make_backend(cfg_.backend);
   if (!backend_) {
     throw std::invalid_argument("unknown execution backend: " + cfg_.backend);
@@ -422,9 +423,9 @@ void ServingRuntime::step() {
 ServingReport ServingRuntime::seal() {
   // Anything still queued is starved: the chip degraded below its class's
   // bank requirement mid-stream. Surface it rather than hanging.
-  report_.queued = pending_.size();
+  report_.queued = queue_.size();
   report_.in_flight = in_flight_.size();
-  pending_.clear();
+  queue_.clear();
 
   if (report_.drain_cycle > 0) {
     const double drain_s = static_cast<double>(report_.drain_cycle) *
@@ -527,7 +528,7 @@ obs::Json ServingRuntime::snapshot_state() const {
   s.set("cycle", now_);
   s.set("event_index", event_index_);
   s.set("next_dispatch_id", next_dispatch_id_);
-  s.set("pending", std::uint64_t{pending_.size()});
+  s.set("pending", std::uint64_t{queue_.size()});
   s.set("in_flight", std::uint64_t{in_flight_.size()});
   s.set("protos", std::uint64_t{protos_.size()});
 
@@ -598,11 +599,10 @@ obs::Json ServingRuntime::snapshot_state() const {
 }
 
 std::vector<Request> ServingRuntime::extract_pending() {
-  // Pending timeouts of migrated requests no-op: handle_timeout scans
-  // pending_ by id and finds nothing.
+  // Pending timeouts of migrated requests no-op: handle_timeout looks
+  // the id up in the queue and finds nothing.
   if (!cfg_.protocol.enabled()) {
-    std::vector<Request> out;
-    out.swap(pending_);
+    std::vector<Request> out = queue_.drain();
     report_.migrated += out.size();
     return out;
   }
@@ -610,30 +610,18 @@ std::vector<Request> ServingRuntime::extract_pending() {
   // re-expanded on the target chip). A protocol with any op dispatched,
   // completed or in retry backoff keeps its remaining ops here — its
   // in-flight work must join on this chip.
-  std::map<std::uint64_t, std::size_t> queued_ops;
-  for (const Request& r : pending_) queued_ops[r.proto_id] += 1;
-  std::set<std::uint64_t> movable;
-  for (const auto& [pid, st] : protos_) {
-    if (st.done_mask == 0 && queued_ops[pid] == st.op_count) {
-      movable.insert(pid);
-    }
-  }
-  std::vector<Request> keep;
-  std::uint64_t moved_ops = 0;
-  for (Request& r : pending_) {
-    if (movable.contains(r.proto_id)) {
-      moved_ops += 1;  // the op is dropped; its origin migrates whole
-    } else {
-      keep.push_back(std::move(r));
-    }
-  }
-  pending_ = std::move(keep);
   std::vector<Request> out;
-  for (const std::uint64_t pid : movable) {
-    out.push_back(std::move(protos_.at(pid).origin));
-    protos_.erase(pid);
+  for (auto it = protos_.begin(); it != protos_.end();) {
+    const ProtoState& st = it->second;
+    if (st.done_mask != 0 || queue_.proto_count(it->first) != st.op_count) {
+      ++it;
+      continue;
+    }
+    // The ops are dropped; the origin migrates whole.
+    report_.migrated += queue_.erase_proto(it->first);
+    out.push_back(std::move(it->second.origin));
+    it = protos_.erase(it);
   }
-  report_.migrated += moved_ops;
   return out;
 }
 
@@ -649,13 +637,12 @@ std::vector<Request> ServingRuntime::crash_chip() {
   }
   report_.lost_in_flight += in_flight_.size();
   in_flight_.clear();
-  for (Request& r : pending_) {
-    if (r.proto_id == 0 && seen.insert(r.id).second) {
-      out.push_back(std::move(r));
-    }
-  }
-  report_.migrated += pending_.size();
-  pending_.clear();
+  proto_flights_.clear();
+  queue_.for_each([&](const Request& r) {
+    if (r.proto_id == 0 && seen.insert(r.id).second) out.push_back(r);
+  });
+  report_.migrated += queue_.size();
+  queue_.clear();
   // Protocol requests collapse to their origin: the crash loses every op
   // (even ones in retry backoff — their re-enqueue finds no proto state)
   // and the fleet re-dispatches the whole DAG exactly once.
@@ -720,12 +707,12 @@ void ServingRuntime::handle_arrival(const Event& e) {
   report_.submitted += 1;
   TenantStats& ts = report_.tenants.at(r.tenant);
   ts.submitted += 1;
-  report_.queue_depth.add(pending_.size());
+  report_.queue_depth.add(queue_.size());
   report_.series.count("submitted", now_);
-  report_.series.observe("queue_depth", now_, pending_.size());
+  report_.series.observe("queue_depth", now_, queue_.size());
   obs::metrics()
       .histogram("cryptopim.runtime.queue_depth", "requests")
-      .add(pending_.size());
+      .add(queue_.size());
 
   // Chain the next open-loop arrival before any admission decision so
   // backpressure never throttles the *offered* load. (Fleet drive has no
@@ -754,7 +741,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     emit_outcome(r, Outcome::kRejected);
     return;
   }
-  if (pending_.size() >= cfg_.queue_capacity) {
+  if (queue_.size() >= cfg_.queue_capacity) {
     report_.rejected += 1;
     ts.rejected += 1;
     record_bad_outcome("rejected");
@@ -783,8 +770,7 @@ void ServingRuntime::handle_arrival(const Event& e) {
     // this request, served at the class's live lane count, must still
     // leave room for one service before the deadline. Rejecting here is
     // kinder than admitting work that can only miss.
-    std::uint64_t backlog = 0;
-    for (const Request& p : pending_) backlog += p.degree == r.degree;
+    const std::uint64_t backlog = queue_.degree_count(r.degree);
     unsigned lanes_alive = 0;
     for (const Lane& lane : lanes_) {
       lanes_alive += !lane.dead && !lane.draining && lane.degree == r.degree;
@@ -827,16 +813,16 @@ void ServingRuntime::handle_arrival(const Event& e) {
     te.dispatch_id = r.id;
     events_.push(std::move(te));
   }
-  pending_.push_back(std::move(r));
+  queue_.push(std::move(r), /*ready=*/true);
   try_dispatch();
 }
 
-// -- protocol DAG serving -----------------------------------------------------
-
-bool ServingRuntime::is_host_op(const Request& r) noexcept {
-  return r.proto_id != 0 && (r.op_class == OpClass::kSample ||
-                             r.op_class == OpClass::kAggregate);
+void ServingRuntime::enqueue(Request r) {
+  const bool ready = r.proto_id == 0 || proto_ready(r);
+  queue_.push(std::move(r), ready);
 }
+
+// -- protocol DAG serving -----------------------------------------------------
 
 bool ServingRuntime::proto_ready(const Request& r) const {
   const auto it = protos_.find(r.proto_id);
@@ -855,12 +841,12 @@ void ServingRuntime::handle_proto_arrival(const Event& e) {
   report_.submitted += n_ops;
   ts.submitted += n_ops;
   report_.protocol.requests += 1;
-  report_.queue_depth.add(pending_.size());
+  report_.queue_depth.add(queue_.size());
   report_.series.count("submitted", now_, n_ops);
-  report_.series.observe("queue_depth", now_, pending_.size());
+  report_.series.observe("queue_depth", now_, queue_.size());
   obs::metrics()
       .histogram("cryptopim.runtime.queue_depth", "requests")
-      .add(pending_.size());
+      .add(queue_.size());
 
   // Chain the next open-loop arrival before any admission decision.
   if (workload_) {
@@ -891,7 +877,7 @@ void ServingRuntime::handle_proto_arrival(const Event& e) {
     reject("unservable", report_.rejected_unservable);
     return;
   }
-  if (pending_.size() + n_ops > cfg_.queue_capacity) {
+  if (queue_.size() + n_ops > cfg_.queue_capacity) {
     reject("queue_full", report_.rejected);
     return;
   }
@@ -914,6 +900,9 @@ void ServingRuntime::handle_proto_arrival(const Event& e) {
   st.origin = origin;
   st.op_count = static_cast<std::uint32_t>(n_ops);
   protos_[pid] = std::move(st);
+  // Keep queue readiness equal to proto_ready(): ops of an earlier,
+  // orphaned incarnation of this id become ready again with it.
+  queue_.update_proto(pid, /*live=*/true, 0);
 
   if (elog_on()) {
     obs::Json rec = ev_base("admitted", origin);
@@ -967,79 +956,68 @@ void ServingRuntime::handle_proto_arrival(const Event& e) {
       }
       event_log_->log(std::move(rec));
     }
-    pending_.push_back(std::move(r));
+    enqueue(std::move(r));
   }
   try_dispatch();
 }
 
 void ServingRuntime::try_dispatch() {
-  std::set<std::uint32_t> blocked;
-  std::set<std::uint64_t> skipped;  // fan-out ops boxed out by siblings
-  while (!pending_.empty()) {
-    std::vector<bool> eligible(pending_.size());
-    bool any = false;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const Request& p = pending_[i];
-      // Dependency frontier: a DAG op waits for its parents. Host ops
-      // never touch lanes, so a blocked degree class does not gate them.
-      eligible[i] = (is_host_op(p) || !blocked.contains(p.degree)) &&
-                    !skipped.contains(p.id) &&
-                    (p.proto_id == 0 || proto_ready(p));
-      any = any || eligible[i];
-    }
-    if (!any) break;
-    PolicyContext ctx;
-    ctx.now = now_;
-    ctx.tenant_usage = tenant_usage_;
-    const std::size_t idx = policy_->pick(pending_, eligible, ctx);
-    if (idx == Policy::npos) break;
-    const bool host = is_host_op(pending_[idx]);
+  // One round: the queue hands out the policy's best ready request over
+  // the lane classes not blocked yet. Dependency frontier: a DAG op is
+  // ready only once its parents completed. Host ops never touch lanes,
+  // so a blocked degree class does not gate them. tenant_usage_ is read
+  // live, so wfq sees every charge made earlier in the round.
+  const PolicyContext ctx{now_, tenant_usage_};
+  std::vector<std::uint32_t> blocked;
+  while (const AdmissionQueue::Entry* best = queue_.best(ctx, blocked)) {
+    const bool host = is_host_op(best->request);
     Lane* lane = nullptr;
     if (!host) {
-      lane = acquire_lane_for(pending_[idx]);
+      lane = acquire_lane_for(best->request);
       if (!lane) {
         // A fan-out op may be boxed out only by its in-flight siblings;
-        // other work in the class can still run, so skip just this op (a
-        // sibling's completion re-runs dispatch with a smaller exclusion).
-        if (pending_[idx].fanout_group != 0) {
-          skipped.insert(pending_[idx].id);
+        // other work in the class can still run, so pass over just this
+        // op (a sibling's completion re-runs dispatch with a smaller
+        // exclusion).
+        if (best->request.fanout_group != 0) {
+          queue_.park(*best);
         } else {
-          blocked.insert(pending_[idx].degree);
+          blocked.push_back(best->request.degree);
         }
         continue;
       }
     }
+    Request picked = queue_.take(*best);
     // CoDel-style shedding at dequeue: when the minimum queueing sojourn
     // has stayed above target for a full interval, drop instead of
     // serving (and tighten the drop cadence) until the queue recovers.
     if (shedder_.enabled()) {
-      const std::uint64_t sojourn = now_ - pending_[idx].arrival_cycle;
+      const std::uint64_t sojourn = now_ - picked.arrival_cycle;
       if (shedder_.should_drop(sojourn, now_)) {
-        Request dropped = std::move(pending_[idx]);
-        pending_.erase(pending_.begin() + static_cast<long>(idx));
         report_.resilience.shed += 1;
         record_bad_outcome("shed");
         if (elog_on()) {
-          obs::Json rec = ev_base("shed", dropped);
+          obs::Json rec = ev_base("shed", picked);
           rec.set("sojourn", sojourn);
           event_log_->log(std::move(rec));
         }
-        if (dropped.proto_id != 0) {
+        if (picked.proto_id != 0) {
           // Shedding one op sheds the protocol: siblings are useless.
-          fail_protocol(dropped.proto_id, Outcome::kShed);
+          fail_protocol(picked.proto_id, Outcome::kShed);
         } else {
-          notify_request_gone(dropped);
-          emit_outcome(dropped, Outcome::kShed);
+          notify_request_gone(picked);
+          emit_outcome(picked, Outcome::kShed);
         }
         continue;
       }
     }
     if (host) {
-      dispatch_host(idx);
+      dispatch_host(std::move(picked));
     } else {
-      dispatch(idx, *lane);
+      dispatch(std::move(picked), *lane);
     }
   }
+  queue_.unpark_all();
 }
 
 ServingRuntime::Lane* ServingRuntime::acquire_lane_for(const Request& r) {
@@ -1049,9 +1027,10 @@ ServingRuntime::Lane* ServingRuntime::acquire_lane_for(const Request& r) {
   // lanes. No deadlock risk: a sibling's completion re-runs dispatch
   // with a smaller exclusion set (worst case the group serializes).
   std::set<std::size_t> excl;
-  for (const auto& [id, inf] : in_flight_) {
-    if (inf.request.proto_id == r.proto_id &&
-        inf.request.fanout_group == r.fanout_group && inf.lane != kHostLane) {
+  const auto [lo, hi] = proto_flights_.equal_range(r.proto_id);
+  for (auto it = lo; it != hi; ++it) {
+    const InFlight& inf = in_flight_.at(it->second);
+    if (inf.request.fanout_group == r.fanout_group && inf.lane != kHostLane) {
       excl.insert(inf.lane);
     }
   }
@@ -1150,8 +1129,6 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
 
 void ServingRuntime::reclaim_idle_lanes(unsigned needed,
                                         std::uint32_t for_degree) {
-  std::set<std::uint32_t> pending_degrees;
-  for (const Request& r : pending_) pending_degrees.insert(r.degree);
   for (Lane& lane : lanes_) {
     const unsigned usable = usable_banks();
     const unsigned free_banks =
@@ -1159,16 +1136,13 @@ void ServingRuntime::reclaim_idle_lanes(unsigned needed,
     if (free_banks >= needed) return;
     if (lane.dead || lane.in_flight > 0 || lane.free_at > now_) continue;
     if (lane.degree == for_degree) continue;
-    if (pending_degrees.contains(lane.degree)) continue;
+    if (queue_.degree_count(lane.degree) > 0) continue;
     lane.dead = true;
     allocated_banks_ -= lane.banks;
   }
 }
 
-void ServingRuntime::dispatch(std::size_t queue_index, Lane& lane) {
-  Request r = pending_[queue_index];
-  pending_.erase(pending_.begin() + static_cast<long>(queue_index));
-
+void ServingRuntime::dispatch(Request r, Lane& lane) {
   const LaneGeometry g = geometry_for(cfg_.chip, r.degree);
   const std::uint64_t t0 = now_;
   const std::size_t lane_idx = static_cast<std::size_t>(&lane - lanes_.data());
@@ -1241,7 +1215,7 @@ void ServingRuntime::dispatch(std::size_t queue_index, Lane& lane) {
   inf.is_probe = is_probe;
   if (resilience_on_) inf.corrupt = chaos_corrupting(lane, t0);
   inf.chip_corrupt = t0 < chip_corrupt_until_;
-  in_flight_.emplace(id, std::move(inf));
+  add_in_flight(id, std::move(inf));
 
   Event e;
   e.cycle = completion;
@@ -1265,12 +1239,28 @@ void ServingRuntime::dispatch(std::size_t queue_index, Lane& lane) {
   }
 }
 
-void ServingRuntime::dispatch_host(std::size_t queue_index) {
+void ServingRuntime::add_in_flight(std::uint64_t id, InFlight inf) {
+  if (inf.request.proto_id != 0) {
+    proto_flights_.emplace(inf.request.proto_id, id);  // ids only grow
+  }
+  in_flight_.emplace(id, std::move(inf));
+}
+
+std::map<std::uint64_t, ServingRuntime::InFlight>::iterator
+ServingRuntime::erase_in_flight(
+    std::map<std::uint64_t, InFlight>::iterator it) {
+  if (const std::uint64_t pid = it->second.request.proto_id; pid != 0) {
+    const auto [lo, hi] = proto_flights_.equal_range(pid);
+    proto_flights_.erase(std::find_if(
+        lo, hi, [id = it->first](const auto& kv) { return kv.second == id; }));
+  }
+  return in_flight_.erase(it);
+}
+
+void ServingRuntime::dispatch_host(Request r) {
   // A laneless host op (sampling / aggregation): fixed cycle cost, no
   // bank accounting, no tenant fairness charge, no hedging or chaos —
   // the host is outside the crossbar fault domain.
-  Request r = std::move(pending_[queue_index]);
-  pending_.erase(pending_.begin() + static_cast<long>(queue_index));
   const std::uint64_t t0 = now_;
   const std::uint64_t id = next_dispatch_id_++;
   report_.protocol.host_ops += 1;
@@ -1291,7 +1281,7 @@ void ServingRuntime::dispatch_host(std::size_t queue_index) {
   inf.request = std::move(r);
   inf.lane = kHostLane;
   inf.dispatched_at = t0;
-  in_flight_.emplace(id, std::move(inf));
+  add_in_flight(id, std::move(inf));
   Event e;
   e.cycle = t0 + service;
   e.kind = EventKind::kCompletion;
@@ -1341,7 +1331,10 @@ void ServingRuntime::on_op_complete(const Request& r,
   report_.protocol.op_cycles[static_cast<unsigned>(r.op_class)].add(
       now_ - dispatched_at);
   if (st.ops_done < st.op_count) {
-    return;  // the caller's try_dispatch releases the unblocked children
+    // Children whose last parent this was become ready; the caller's
+    // try_dispatch dispatches them.
+    queue_.update_proto(r.proto_id, /*live=*/true, st.done_mask);
+    return;
   }
 
   // Final op: the DAG joins and the protocol request completes exactly
@@ -1349,6 +1342,9 @@ void ServingRuntime::on_op_complete(const Request& r,
   // and compare against the pure-host reference.
   const ProtoState done = std::move(st);
   protos_.erase(it);
+  // Any op copy still queued is an orphan now, exactly as for a failed
+  // protocol: it never becomes ready again.
+  queue_.update_proto(r.proto_id, /*live=*/false, 0);
   const std::uint64_t latency = now_ - done.origin.arrival_cycle;
   report_.protocol.completed += 1;
   report_.protocol.latency_cycles.add(latency);
@@ -1390,20 +1386,12 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
   protos_.erase(it);
   // Cancel every sibling op still queued or in flight; the op that died
   // already recorded its own bad-outcome counters.
-  std::uint64_t cancelled = 0;
-  for (auto p = pending_.begin(); p != pending_.end();) {
-    if (p->proto_id == proto_id) {
-      cancelled += 1;
-      p = pending_.erase(p);
-    } else {
-      ++p;
-    }
-  }
-  for (auto f = in_flight_.begin(); f != in_flight_.end();) {
-    if (f->second.request.proto_id != proto_id) {
-      ++f;
-      continue;
-    }
+  std::uint64_t cancelled = queue_.erase_proto(proto_id);
+  const auto [lo, hi] = proto_flights_.equal_range(proto_id);
+  std::vector<std::uint64_t> flights;  // ascending dispatch id
+  for (auto p = lo; p != hi; ++p) flights.push_back(p->second);
+  for (const std::uint64_t id : flights) {
+    const auto f = in_flight_.find(id);
     if (f->second.lane != kHostLane) {
       Lane& lane = lanes_[f->second.lane];
       lane.in_flight -= 1;
@@ -1414,7 +1402,7 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
       }
     }
     cancelled += 1;
-    f = in_flight_.erase(f);  // its kCompletion event will find nothing
+    erase_in_flight(f);  // its kCompletion event will find nothing
   }
   report_.protocol.ops_cancelled += cancelled;
   report_.protocol.failed += 1;
@@ -1432,7 +1420,7 @@ void ServingRuntime::handle_completion(const Event& e) {
   const auto it = in_flight_.find(e.dispatch_id);
   if (it == in_flight_.end()) return;  // cancelled (bank failure / hedge)
   const InFlight inf = std::move(it->second);
-  in_flight_.erase(it);
+  erase_in_flight(it);
   if (inf.lane == kHostLane) {
     complete_host_op(e, inf);
     return;
@@ -1645,7 +1633,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
       }
       return;
     }
-    pending_.push_back(inf.request);
+    enqueue(inf.request);
     report_.retried += 1;
     report_.series.count("retries", now_);
   };
@@ -1661,7 +1649,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     for (auto it = in_flight_.begin(); it != in_flight_.end();) {
       if (it->second.lane == lane_idx) {
         torn.push_back(std::move(it->second));
-        it = in_flight_.erase(it);
+        it = erase_in_flight(it);
       } else {
         ++it;
       }
@@ -1752,23 +1740,19 @@ void ServingRuntime::handle_timeout(const Event& e) {
   // sat in the admission queue. A dispatched request is past saving by
   // cancellation (the lane slot is spent either way) so it is left to
   // complete and count a deadline miss.
-  const std::uint64_t rid = e.dispatch_id;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id != rid) continue;
-    const Request r = std::move(*it);
-    pending_.erase(it);
-    report_.resilience.timed_out += 1;
-    record_bad_outcome("timed_out");
-    if (elog_on()) event_log_->log(ev_base("timed_out", r));
-    if (r.proto_id != 0) {
-      // One op past its deadline times the whole protocol out.
-      fail_protocol(r.proto_id, Outcome::kTimedOut);
-      return;
-    }
-    notify_request_gone(r);
-    emit_outcome(r, Outcome::kTimedOut);
+  const AdmissionQueue::Entry* queued = queue_.find_id(e.dispatch_id);
+  if (queued == nullptr) return;
+  const Request r = queue_.take(*queued);
+  report_.resilience.timed_out += 1;
+  record_bad_outcome("timed_out");
+  if (elog_on()) event_log_->log(ev_base("timed_out", r));
+  if (r.proto_id != 0) {
+    // One op past its deadline times the whole protocol out.
+    fail_protocol(r.proto_id, Outcome::kTimedOut);
     return;
   }
+  notify_request_gone(r);
+  emit_outcome(r, Outcome::kTimedOut);
 }
 
 void ServingRuntime::handle_retry_enqueue(const Event& e) {
@@ -1777,7 +1761,7 @@ void ServingRuntime::handle_retry_enqueue(const Event& e) {
   if (e.request.proto_id != 0 && !protos_.contains(e.request.proto_id)) {
     return;  // its protocol was torn down while the retry backed off
   }
-  pending_.push_back(e.request);
+  enqueue(e.request);
   try_dispatch();
 }
 
@@ -1830,7 +1814,7 @@ void ServingRuntime::handle_hedge(const Event& e) {
   dup.is_probe = is_probe;
   dup.is_hedge = true;
   dup.hedge_partner = e.dispatch_id;
-  in_flight_.emplace(id, std::move(dup));
+  add_in_flight(id, std::move(dup));
   it->second.hedge_partner = id;
   report_.resilience.hedges += 1;
   report_.series.count("hedges", now_);
@@ -1888,8 +1872,8 @@ void ServingRuntime::handle_health(const Event&) {
   // dispatch, and ticking for them would spin forever — run() surfaces
   // them as `queued` instead.
   bool pending_servable = false;
-  for (const Request& r : pending_) {
-    if (geometry_for(cfg_.chip, r.degree).banks <= usable_banks()) {
+  for (const auto& [degree, count] : queue_.degree_counts()) {
+    if (geometry_for(cfg_.chip, degree).banks <= usable_banks()) {
       pending_servable = true;
       break;
     }
@@ -1986,7 +1970,7 @@ void ServingRuntime::cancel_in_flight(std::uint64_t dispatch_id) {
     rec.set("lane", std::uint64_t{lane_idx});
     event_log_->log(std::move(rec));
   }
-  in_flight_.erase(it);  // its kCompletion event will find nothing
+  erase_in_flight(it);  // its kCompletion event will find nothing
   report_.resilience.hedge_cancelled += 1;
   if (was_probe) {
     // A cancelled half-open probe reports no outcome; without this the

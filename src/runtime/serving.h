@@ -59,6 +59,7 @@
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
+#include "runtime/admission_queue.h"
 #include "runtime/event_queue.h"
 #include "runtime/journal.h"
 #include "runtime/policy.h"
@@ -324,7 +325,7 @@ class ServingRuntime {
 
   /// Live (mid-run) state, for fleet routing and health decisions.
   const ServingReport& live() const noexcept { return report_; }
-  std::size_t pending_count() const noexcept { return pending_.size(); }
+  std::size_t pending_count() const noexcept { return queue_.size(); }
   std::size_t in_flight_count() const noexcept { return in_flight_.size(); }
   std::uint64_t now() const noexcept { return now_; }
 
@@ -372,7 +373,14 @@ class ServingRuntime {
   /// Returns banks of idle lanes (no in-flight work, nothing pending in
   /// their class) to the free pool until `needed` banks are available.
   void reclaim_idle_lanes(unsigned needed, std::uint32_t for_degree);
-  void dispatch(std::size_t queue_index, Lane& lane);
+  /// Queue an admitted (or re-queued) request; a DAG op waits outside
+  /// the ready buckets until its parents complete.
+  void enqueue(Request r);
+  void dispatch(Request r, Lane& lane);
+  /// Insert / erase an in_flight_ entry, keeping proto_flights_ in step.
+  void add_in_flight(std::uint64_t id, InFlight inf);
+  std::map<std::uint64_t, InFlight>::iterator erase_in_flight(
+      std::map<std::uint64_t, InFlight>::iterator it);
   void verify_result(const Request& r);
   unsigned usable_banks() const noexcept;
   void schedule_scan(std::uint64_t cycle);
@@ -435,13 +443,12 @@ class ServingRuntime {
   void handle_proto_arrival(const Event& e);
   /// Frontier check: all of the op's parents completed.
   bool proto_ready(const Request& r) const;
-  static bool is_host_op(const Request& r) noexcept;
   /// Lane acquisition honouring fan-out groups: a fan-out op never
   /// shares a lane with an in-flight sibling of the same group.
   Lane* acquire_lane_for(const Request& r);
   /// Dispatch a laneless host op (sampling / aggregation) at the fixed
   /// host_op_cycles cost.
-  void dispatch_host(std::size_t queue_index);
+  void dispatch_host(Request r);
   void complete_host_op(const Event& e, const InFlight& inf);
   /// Mark one op done; on the last op, run the functional join and emit
   /// the protocol request's single good outcome.
@@ -459,9 +466,13 @@ class ServingRuntime {
   EventQueue events_;
   std::uint64_t now_ = 0;
   std::uint64_t horizon_ = 0;
-  std::vector<Request> pending_;  ///< admitted, waiting for a lane
+  AdmissionQueue queue_;  ///< admitted, waiting for a lane
   std::vector<Lane> lanes_;
   std::map<std::uint64_t, InFlight> in_flight_;
+  /// Dispatch ids in flight per protocol request (proto_id != 0 only):
+  /// fan-out lane exclusion and protocol teardown read a protocol's
+  /// siblings without scanning every in-flight request.
+  std::multimap<std::uint64_t, std::uint64_t> proto_flights_;
   std::uint64_t next_dispatch_id_ = 1;
 
   // -- protocol state (empty when cfg_.protocol is disabled) -------------------
