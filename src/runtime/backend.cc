@@ -4,7 +4,6 @@
 
 #include "model/performance.h"
 #include "ntt/word_ntt.h"
-#include "sim/pipelined.h"
 #include "sim/simulator.h"
 
 namespace cryptopim::runtime {
@@ -27,15 +26,6 @@ BackendResult analytic_accounting(std::uint32_t degree) {
                  perf.latency_us, perf.energy_uj};
   cache.emplace_back(degree, c);
   return BackendResult{{}, c.cycles, c.latency_us, c.energy_uj};
-}
-
-std::vector<BackendResult> ExecutionBackend::execute_batch(
-    const ntt::NttParams& params,
-    const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs) {
-  std::vector<BackendResult> out;
-  out.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) out.push_back(execute(params, a, b));
-  return out;
 }
 
 // -- gate tier ----------------------------------------------------------------
@@ -83,27 +73,6 @@ BackendResult GateLevelBackend::execute(const ntt::NttParams& params,
   r.latency_us = rep.latency_us;
   r.energy_uj = rep.energy_uj;
   return r;
-}
-
-std::vector<BackendResult> GateLevelBackend::execute_batch(
-    const ntt::NttParams& params,
-    const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs) {
-  // Stream through the pipelined simulator: per-job accounting is the
-  // steady-state beat, matching how the hardware amortises a batch.
-  sim::PipelinedSimulator pipe(params);
-  const auto products = pipe.multiply_stream(pairs);
-  const sim::PipelineRunReport& rep = pipe.report();
-  std::vector<BackendResult> out;
-  out.reserve(products.size());
-  for (const auto& p : products) {
-    BackendResult r;
-    r.product = p;
-    r.sim_cycles = rep.beat_cycles;
-    r.latency_us = rep.jobs ? rep.makespan_us / static_cast<double>(rep.jobs)
-                            : 0.0;
-    out.push_back(std::move(r));
-  }
-  return out;
 }
 
 // -- word tier ----------------------------------------------------------------

@@ -3,10 +3,9 @@
 // Every way this repo can "execute" a negacyclic multiplication now sits
 // behind `ExecutionBackend`:
 //
-//  * GateLevelBackend — the golden tier. Wraps CryptoPimSimulator
-//    (single multiplies) and PipelinedSimulator (batches): every
-//    arithmetic step runs in simulated crossbars, cycle accounting is
-//    measured, optional fault injection exercises the reliability
+//  * GateLevelBackend — the golden tier. Wraps CryptoPimSimulator:
+//    every arithmetic step runs in simulated crossbars, cycle accounting
+//    is measured, optional fault injection exercises the reliability
 //    stack. Slow (~ms per multiply) but authoritative.
 //  * WordLevelBackend — functional results at host speed from the
 //    flat-word `ntt::WordNttEngine` (Shoup/Barrett precompute, lazy
@@ -67,13 +66,6 @@ class ExecutionBackend {
   /// Engines/simulators are cached per (n, q) inside the backend.
   virtual BackendResult execute(const ntt::NttParams& params,
                                 const ntt::Poly& a, const ntt::Poly& b) = 0;
-
-  /// Batch execution. The gate tier streams the batch through the
-  /// pipelined simulator (beat-level overlap); the default loops over
-  /// execute().
-  virtual std::vector<BackendResult> execute_batch(
-      const ntt::NttParams& params,
-      const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs);
 };
 
 /// Golden tier. With `set_fault_injection`, every cached simulator gets
@@ -89,9 +81,6 @@ class GateLevelBackend final : public ExecutionBackend {
   bool functional() const noexcept override { return true; }
   BackendResult execute(const ntt::NttParams& params, const ntt::Poly& a,
                         const ntt::Poly& b) override;
-  std::vector<BackendResult> execute_batch(
-      const ntt::NttParams& params,
-      const std::vector<std::pair<ntt::Poly, ntt::Poly>>& pairs) override;
 
   /// Enable fault injection for every simulator created after this call.
   void set_fault_injection(const reliability::ReliabilityConfig& rc);
