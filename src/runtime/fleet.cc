@@ -11,6 +11,10 @@ namespace cryptopim::runtime {
 
 namespace {
 
+/// Cap of the cross-chip retry backoff (the chip's own cap is
+/// configurable: ResilienceConfig::retry_backoff_cap_cycles).
+constexpr std::uint64_t kFleetBackoffCapCycles = 1u << 20;
+
 std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -526,7 +530,9 @@ bool FleetRuntime::dispatch_to_fleet(const Request& r, bool first) {
       event_log_->log(std::move(rec));
     }
     if (cfg_.hedge) {
-      const std::uint64_t delay = hedge_delay_cycles();
+      const std::uint64_t delay =
+          hedge_delay_cycles(cfg_.hedge_delay_us, cfg_.chip.cycles_per_us(),
+                             cfg_.hedge_min_samples, service_hist_);
       if (delay > 0) {
         Event he;
         he.cycle = now_ + delay;
@@ -579,12 +585,9 @@ void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
     if (retry_budget_->try_spend(r.tenant)) {
       ent.attempts += 1;
       report_.cross_retries += 1;
-      std::uint64_t backoff = cfg_.retry_backoff_cycles;
-      for (unsigned a = 1; a < ent.attempts && backoff < (1u << 20); ++a) {
-        backoff <<= 1;
-      }
       Event re;
-      re.cycle = cycle + backoff;
+      re.cycle = cycle + backoff_cycles(cfg_.retry_backoff_cycles,
+                                        kFleetBackoffCapCycles, ent.attempts);
       re.kind = EventKind::kFleetRetry;
       re.request = ent.original;
       fleet_q_.push(std::move(re));
@@ -836,15 +839,6 @@ void FleetRuntime::arm_chaos_episode() {
   e.cycle = at;
   e.kind = EventKind::kFleetChaos;
   fleet_q_.push(std::move(e));
-}
-
-std::uint64_t FleetRuntime::hedge_delay_cycles() const {
-  if (cfg_.hedge_delay_us > 0) {
-    return static_cast<std::uint64_t>(cfg_.hedge_delay_us *
-                                      cfg_.chip.cycles_per_us());
-  }
-  if (service_hist_.count() < cfg_.hedge_min_samples) return 0;
-  return service_hist_.quantile(0.99);
 }
 
 void FleetRuntime::log_control(const char* ev, std::uint32_t chip) {

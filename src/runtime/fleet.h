@@ -231,7 +231,6 @@ class FleetRuntime {
   /// Fleet-level snapshot state: chip membership + shard map + cross-chip
   /// retry/hedge bookkeeping + RNG digests + every chip's own state dump.
   obs::Json snapshot_state() const;
-  std::uint64_t hedge_delay_cycles() const;
   void log_control(const char* ev, std::uint32_t chip);
   bool elog_on() const noexcept {
     return event_log_ != nullptr && event_log_->enabled();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-
 namespace cryptopim::runtime {
 
 ResilienceConfig ResilienceConfig::chaos_preset(std::uint64_t seed) {
@@ -18,6 +16,25 @@ ResilienceConfig ResilienceConfig::chaos_preset(std::uint64_t seed) {
   r.chaos.enabled = true;
   r.chaos.seed = seed;
   return r;
+}
+
+std::uint64_t backoff_cycles(std::uint64_t base, std::uint64_t cap,
+                             unsigned attempts) {
+  std::uint64_t b = base;
+  for (unsigned i = 1; i < attempts && b < cap; ++i) b <<= 1;
+  return std::min(b, cap);
+}
+
+std::uint64_t hedge_delay_cycles(double delay_us, double cycles_per_us,
+                                 std::uint64_t min_samples,
+                                 const obs::Histogram& service) {
+  if (delay_us > 0) {
+    return static_cast<std::uint64_t>(delay_us * cycles_per_us);
+  }
+  // p99-derived: hedge only after enough service-time samples to make
+  // the tail estimate meaningful; until then stragglers run unhedged.
+  if (service.count() < min_samples) return 0;
+  return service.quantile(0.99);
 }
 
 // -- RetryBudget --------------------------------------------------------------

@@ -41,9 +41,23 @@
 
 #include "common/rng.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "reliability/fault_model.h"
 
 namespace cryptopim::runtime {
+
+/// Capped exponential backoff, shared by chip retries and the fleet's
+/// cross-chip retries: `base` for the first attempt, doubled per further
+/// attempt, never above `cap`.
+std::uint64_t backoff_cycles(std::uint64_t base, std::uint64_t cap,
+                             unsigned attempts);
+
+/// Hedge delay, shared by chip and fleet hedging: `delay_us` when fixed
+/// (> 0); otherwise the p99 of the observed `service` times once
+/// `min_samples` were seen, and 0 (no hedging yet) before that.
+std::uint64_t hedge_delay_cycles(double delay_us, double cycles_per_us,
+                                 std::uint64_t min_samples,
+                                 const obs::Histogram& service);
 
 /// Seeded lane fault-episode injection composed with live traffic.
 struct ChaosConfig {

@@ -4,8 +4,10 @@
 #include <cassert>
 #include <csignal>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "model/performance.h"
 #include "ntt/ntt.h"
@@ -485,6 +487,23 @@ void ServingRuntime::emit_outcome(const Request& r, Outcome o) {
     journal_->record(Journal::outcome_payload(jidx(), now_, r.id, o));
   }
   if (outcome_sink_) outcome_sink_(r, o, now_);
+  // Completed, shed, timed-out and failed requests complete the
+  // closed-loop cycle: the client observes the result or the error and
+  // re-issues after thinking. A rejected request's client does not.
+  if (o != Outcome::kRejected) chain_arrival(r, /*arrived=*/false);
+}
+
+void ServingRuntime::chain_arrival(const Request& r, bool arrived) {
+  if (!workload_) return;  // fleet drive: the front-end owns the loop
+  const std::optional<Arrival> next =
+      arrived ? workload_->next_after_arrival(Arrival{now_, r})
+              : workload_->next_after_completion(r, now_);
+  if (!next) return;
+  Event e;
+  e.cycle = next->cycle;
+  e.kind = EventKind::kArrival;
+  e.request = next->request;
+  events_.push(std::move(e));
 }
 
 // -- durability ---------------------------------------------------------------
@@ -680,96 +699,65 @@ void ServingRuntime::corrupt_window(std::uint64_t until_cycle) {
   chip_corrupt_until_ = std::max(chip_corrupt_until_, until_cycle);
 }
 
-obs::Json ServingRuntime::ev_base(const char* name, const Request& r) const {
+obs::Json ServingRuntime::ev_control(const char* name) const {
   obs::Json rec = obs::Json::object();
   rec.set("ev", name);
   rec.set("cycle", now_);
   rec.set("chip", std::uint64_t{cfg_.chip_id});
+  return rec;
+}
+
+obs::Json ServingRuntime::ev_base(const char* name, const Request& r) const {
+  obs::Json rec = ev_control(name);
   rec.set("trace", r.id);
   rec.set("tenant", std::uint64_t{r.tenant});
   return rec;
 }
 
-void ServingRuntime::record_bad_outcome(const char* counter) {
-  report_.series.count(counter, now_);
-  report_.slo.record_bad(now_);
-}
-
 void ServingRuntime::handle_arrival(const Event& e) {
   // Protocol mode: every arrival (generated or fleet-injected) is a
-  // protocol-level request to compile into a DAG. Op retries re-enter
-  // through kRetryEnqueue, never through kArrival.
-  if (cfg_.protocol.enabled()) {
-    handle_proto_arrival(e);
-    return;
-  }
+  // protocol-level request, admitted all-or-nothing as a DAG of ops. The
+  // ledger stays at op granularity — the serving/2 conservation
+  // identities (submitted == admitted + rejected, ...) keep holding with
+  // primitive ops as the unit of work; the protocol block counts whole
+  // requests. Op retries re-enter through kRetryEnqueue, never here.
+  const bool proto = cfg_.protocol.enabled();
   Request r = e.request;
-  report_.submitted += 1;
+  const std::uint64_t ops = proto ? dag_.ops.size() : 1;
   TenantStats& ts = report_.tenants.at(r.tenant);
-  ts.submitted += 1;
+  report_.submitted += ops;
+  ts.submitted += ops;
+  if (proto) report_.protocol.requests += 1;
   report_.queue_depth.add(queue_.size());
-  report_.series.count("submitted", now_);
+  report_.series.count("submitted", now_, ops);
   report_.series.observe("queue_depth", now_, queue_.size());
   obs::metrics()
       .histogram("cryptopim.runtime.queue_depth", "requests")
       .add(queue_.size());
-
   // Chain the next open-loop arrival before any admission decision so
-  // backpressure never throttles the *offered* load. (Fleet drive has no
-  // generator: the front-end injects every arrival itself.)
-  if (workload_) {
-    Arrival this_arrival{e.cycle, r};
-    if (auto next = workload_->next_after_arrival(this_arrival)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
-    }
-  }
+  // backpressure never throttles the *offered* load.
+  chain_arrival(r, /*arrived=*/true);
 
-  const LaneGeometry g = geometry_for(cfg_.chip, r.degree);
+  const LaneGeometry g =
+      geometry_for(cfg_.chip, proto ? dag_.lane_degree : r.degree);
   if (g.banks > usable_banks()) {
-    report_.rejected_unservable += 1;
-    ts.rejected += 1;
-    record_bad_outcome("rejected");
-    if (elog_on()) {
-      obs::Json rec = ev_base("rejected", r);
-      rec.set("reason", "unservable");
-      event_log_->log(std::move(rec));
-    }
-    emit_outcome(r, Outcome::kRejected);
+    reject(r, "unservable", ops);
     return;
   }
-  if (queue_.size() >= cfg_.queue_capacity) {
-    report_.rejected += 1;
-    ts.rejected += 1;
-    record_bad_outcome("rejected");
-    if (elog_on()) {
-      obs::Json rec = ev_base("rejected", r);
-      rec.set("reason", "queue_full");
-      event_log_->log(std::move(rec));
-    }
-    emit_outcome(r, Outcome::kRejected);
+  if (queue_.size() + ops > cfg_.queue_capacity) {
+    reject(r, "queue_full", ops);
     return;
   }
-  r.service_cycles = g.service();
-  if (cfg_.deadline_slack > 0) {
-    r.deadline_cycle =
-        r.arrival_cycle +
-        static_cast<std::uint64_t>(cfg_.deadline_slack *
-                                   static_cast<double>(r.service_cycles));
+  if (!proto) {
+    r.service_cycles = g.service();
+    stamp_deadline(r);
   }
-  const bool hard_deadline = resilience_on_ && cfg_.resilience.deadline_us > 0;
-  if (hard_deadline) {
-    r.deadline_cycle =
-        r.arrival_cycle + static_cast<std::uint64_t>(
-                              cfg_.resilience.deadline_us *
-                              cfg_.cycles_per_us());
+  if (!proto && hard_deadline()) {
     // Deadline propagation into admission: the class backlog ahead of
     // this request, served at the class's live lane count, must still
     // leave room for one service before the deadline. Rejecting here is
-    // kinder than admitting work that can only miss.
+    // kinder than admitting work that can only miss. (A protocol's ops
+    // are not checked: they time out in queue instead.)
     const std::uint64_t backlog = queue_.degree_count(r.degree);
     unsigned lanes_alive = 0;
     for (const Lane& lane : lanes_) {
@@ -779,42 +767,130 @@ void ServingRuntime::handle_arrival(const Event& e) {
     const std::uint64_t wait =
         backlog * g.occupancy() / std::max(1u, lanes_alive);
     if (now_ + wait + g.service() > r.deadline_cycle) {
-      report_.resilience.rejected_deadline += 1;
-      ts.rejected_deadline += 1;
-      record_bad_outcome("rejected");
-      if (elog_on()) {
-        obs::Json rec = ev_base("rejected", r);
-        rec.set("reason", "deadline_infeasible");
-        event_log_->log(std::move(rec));
-      }
-      emit_outcome(r, Outcome::kRejected);
+      reject(r, "deadline_infeasible", ops);
       return;
     }
   }
-  report_.admitted += 1;
-  ts.admitted += 1;
-  report_.series.count("admitted", now_);
+  report_.admitted += ops;
+  ts.admitted += ops;
+  report_.series.count("admitted", now_, ops);
   // Admission commitment: journaled after the deadline stamp so replay
-  // matches the exact field set the runtime serves.
+  // matches the exact field set the runtime serves. A DAG has one: the
+  // op expansion below is a pure function of the origin, so replay
+  // re-derives every op.
   if (journal_ != nullptr) {
     journal_->record(Journal::admit_payload(jidx(), now_, r));
   }
+  if (retry_budget_) retry_budget_->on_admitted(r.tenant);
   if (elog_on()) {
     obs::Json rec = ev_base("admitted", r);
-    rec.set("degree", std::uint64_t{r.degree});
-    if (r.deadline_cycle > 0) rec.set("deadline", r.deadline_cycle);
+    rec.set("degree", std::uint64_t{proto ? dag_.lane_degree : r.degree});
+    if (proto) {
+      rec.set("protocol", report_.protocol.kind);
+      rec.set("ops", ops);
+    } else if (r.deadline_cycle > 0) {
+      rec.set("deadline", r.deadline_cycle);
+    }
     event_log_->log(std::move(rec));
   }
-  if (retry_budget_) retry_budget_->on_admitted(r.tenant);
-  if (hard_deadline) {
+  if (!proto) {
+    enqueue_admitted(std::move(r));
+    try_dispatch();
+    return;
+  }
+
+  // Protocol ids are 1-based: proto_id == 0 is the raw-request sentinel
+  // on Request, and origin ids start at 0.
+  const std::uint64_t pid = r.id + 1;
+  ProtoState st;
+  st.origin = r;
+  st.op_count = static_cast<std::uint32_t>(ops);
+  protos_[pid] = std::move(st);
+  // Keep queue readiness equal to proto_ready(): ops of an earlier,
+  // orphaned incarnation of this id become ready again with it.
+  queue_.update_proto(pid, /*live=*/true, 0);
+  for (std::size_t i = 0; i < ops; ++i) {
+    const ProtoOp& op = dag_.ops[i];
+    Request child = r;
+    // Op ids order the DAG by (protocol arrival, op index) under every
+    // policy's older() tie-break, and stay unique: op_count <= 64.
+    child.id = (r.id << 6) | i;
+    child.proto_id = pid;
+    child.op_index = static_cast<std::uint32_t>(i);
+    child.op_class = op.cls;
+    child.fanout_group = op.fanout_group;
+    child.parent_mask = op.parent_mask;
+    child.degree = op.degree;
+    child.service_cycles =
+        is_host_op(child) ? cfg_.protocol.host_op_cycles
+                          : geometry_for(cfg_.chip, op.degree).service();
+    stamp_deadline(child);
+    if (elog_on()) {
+      obs::Json rec = ev_base("protocol_op", child);
+      rec.set("proto", pid);
+      rec.set("op", std::uint64_t{child.op_index});
+      rec.set("cls", op_class_name(op.cls));
+      if (op.parent_mask != 0) rec.set("parents", op.parent_mask);
+      if (op.fanout_group != 0) {
+        rec.set("group", std::uint64_t{op.fanout_group});
+      }
+      event_log_->log(std::move(rec));
+    }
+    enqueue_admitted(std::move(child));
+  }
+  try_dispatch();
+}
+
+void ServingRuntime::reject(const Request& r, const char* reason,
+                            std::uint64_t ops) {
+  TenantStats& ts = report_.tenants.at(r.tenant);
+  const std::string_view why = reason;
+  if (why == "deadline_infeasible") {
+    // Kept apart from `rejected` so the global counters still sum the
+    // per-tenant ones field-for-field.
+    report_.resilience.rejected_deadline += ops;
+    ts.rejected_deadline += ops;
+  } else {
+    (why == "unservable" ? report_.rejected_unservable : report_.rejected) +=
+        ops;
+    ts.rejected += ops;
+  }
+  // The windowed counter and the SLO count whole requests.
+  if (cfg_.protocol.enabled()) report_.protocol.rejected += 1;
+  report_.series.count("rejected", now_);
+  report_.slo.record_bad(now_);
+  if (elog_on()) {
+    obs::Json rec = ev_base("rejected", r);
+    rec.set("reason", reason);
+    event_log_->log(std::move(rec));
+  }
+  emit_outcome(r, Outcome::kRejected);
+}
+
+void ServingRuntime::stamp_deadline(Request& r) const {
+  if (cfg_.deadline_slack > 0) {
+    r.deadline_cycle =
+        r.arrival_cycle +
+        static_cast<std::uint64_t>(cfg_.deadline_slack *
+                                   static_cast<double>(r.service_cycles));
+  }
+  if (hard_deadline()) {
+    r.deadline_cycle =
+        r.arrival_cycle + static_cast<std::uint64_t>(
+                              cfg_.resilience.deadline_us *
+                              cfg_.cycles_per_us());
+  }
+}
+
+void ServingRuntime::enqueue_admitted(Request r) {
+  if (hard_deadline()) {
     Event te;
     te.cycle = r.deadline_cycle;
     te.kind = EventKind::kTimeout;
     te.dispatch_id = r.id;
     events_.push(std::move(te));
   }
-  queue_.push(std::move(r), /*ready=*/true);
-  try_dispatch();
+  enqueue(std::move(r));
 }
 
 void ServingRuntime::enqueue(Request r) {
@@ -828,137 +904,6 @@ bool ServingRuntime::proto_ready(const Request& r) const {
   const auto it = protos_.find(r.proto_id);
   if (it == protos_.end()) return false;  // proto failed: op is an orphan
   return (it->second.done_mask & r.parent_mask) == r.parent_mask;
-}
-
-void ServingRuntime::handle_proto_arrival(const Event& e) {
-  const Request& origin = e.request;
-  const std::size_t n_ops = dag_.ops.size();
-  TenantStats& ts = report_.tenants.at(origin.tenant);
-  // The ledger stays at op granularity — the serving/2 conservation
-  // identities (submitted == admitted + rejected, ...) keep holding with
-  // primitive ops as the unit of work; the protocol block counts whole
-  // requests.
-  report_.submitted += n_ops;
-  ts.submitted += n_ops;
-  report_.protocol.requests += 1;
-  report_.queue_depth.add(queue_.size());
-  report_.series.count("submitted", now_, n_ops);
-  report_.series.observe("queue_depth", now_, queue_.size());
-  obs::metrics()
-      .histogram("cryptopim.runtime.queue_depth", "requests")
-      .add(queue_.size());
-
-  // Chain the next open-loop arrival before any admission decision.
-  if (workload_) {
-    Arrival this_arrival{e.cycle, origin};
-    if (auto next = workload_->next_after_arrival(this_arrival)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
-    }
-  }
-
-  // All-or-nothing admission: the whole DAG must be servable and fit.
-  const auto reject = [&](const char* reason, std::uint64_t& counter) {
-    counter += n_ops;
-    ts.rejected += n_ops;
-    report_.protocol.rejected += 1;
-    record_bad_outcome("rejected");
-    if (elog_on()) {
-      obs::Json rec = ev_base("rejected", origin);
-      rec.set("reason", reason);
-      event_log_->log(std::move(rec));
-    }
-    emit_outcome(origin, Outcome::kRejected);
-  };
-  if (geometry_for(cfg_.chip, dag_.lane_degree).banks > usable_banks()) {
-    reject("unservable", report_.rejected_unservable);
-    return;
-  }
-  if (queue_.size() + n_ops > cfg_.queue_capacity) {
-    reject("queue_full", report_.rejected);
-    return;
-  }
-
-  report_.admitted += n_ops;
-  ts.admitted += n_ops;
-  report_.series.count("admitted", now_, n_ops);
-  // One admission commitment for the whole DAG: the op expansion below
-  // is a pure function of the origin, so replay re-derives every op.
-  if (journal_ != nullptr) {
-    journal_->record(Journal::admit_payload(jidx(), now_, origin));
-  }
-  if (retry_budget_) retry_budget_->on_admitted(origin.tenant);
-  const bool hard_deadline = resilience_on_ && cfg_.resilience.deadline_us > 0;
-
-  // Protocol ids are 1-based: proto_id == 0 is the raw-request sentinel
-  // on Request, and origin ids start at 0.
-  const std::uint64_t pid = origin.id + 1;
-  ProtoState st;
-  st.origin = origin;
-  st.op_count = static_cast<std::uint32_t>(n_ops);
-  protos_[pid] = std::move(st);
-  // Keep queue readiness equal to proto_ready(): ops of an earlier,
-  // orphaned incarnation of this id become ready again with it.
-  queue_.update_proto(pid, /*live=*/true, 0);
-
-  if (elog_on()) {
-    obs::Json rec = ev_base("admitted", origin);
-    rec.set("degree", std::uint64_t{dag_.lane_degree});
-    rec.set("protocol", report_.protocol.kind);
-    rec.set("ops", std::uint64_t{n_ops});
-    event_log_->log(std::move(rec));
-  }
-
-  for (std::size_t i = 0; i < n_ops; ++i) {
-    const ProtoOp& op = dag_.ops[i];
-    Request r = origin;
-    // Op ids order the DAG by (protocol arrival, op index) under every
-    // policy's older() tie-break, and stay unique: op_count <= 64.
-    r.id = (origin.id << 6) | i;
-    r.proto_id = pid;
-    r.op_index = static_cast<std::uint32_t>(i);
-    r.op_class = op.cls;
-    r.fanout_group = op.fanout_group;
-    r.parent_mask = op.parent_mask;
-    r.degree = op.degree;
-    const bool host =
-        op.cls == OpClass::kSample || op.cls == OpClass::kAggregate;
-    r.service_cycles = host ? cfg_.protocol.host_op_cycles
-                            : geometry_for(cfg_.chip, op.degree).service();
-    if (cfg_.deadline_slack > 0) {
-      r.deadline_cycle =
-          r.arrival_cycle +
-          static_cast<std::uint64_t>(cfg_.deadline_slack *
-                                     static_cast<double>(r.service_cycles));
-    }
-    if (hard_deadline) {
-      r.deadline_cycle =
-          r.arrival_cycle + static_cast<std::uint64_t>(
-                                cfg_.resilience.deadline_us *
-                                cfg_.cycles_per_us());
-      Event te;
-      te.cycle = r.deadline_cycle;
-      te.kind = EventKind::kTimeout;
-      te.dispatch_id = r.id;
-      events_.push(std::move(te));
-    }
-    if (elog_on()) {
-      obs::Json rec = ev_base("protocol_op", r);
-      rec.set("proto", pid);
-      rec.set("op", std::uint64_t{r.op_index});
-      rec.set("cls", op_class_name(op.cls));
-      if (op.parent_mask != 0) rec.set("parents", op.parent_mask);
-      if (op.fanout_group != 0) {
-        rec.set("group", std::uint64_t{op.fanout_group});
-      }
-      event_log_->log(std::move(rec));
-    }
-    enqueue(std::move(r));
-  }
-  try_dispatch();
 }
 
 void ServingRuntime::try_dispatch() {
@@ -994,27 +939,14 @@ void ServingRuntime::try_dispatch() {
     if (shedder_.enabled()) {
       const std::uint64_t sojourn = now_ - picked.arrival_cycle;
       if (shedder_.should_drop(sojourn, now_)) {
-        report_.resilience.shed += 1;
-        record_bad_outcome("shed");
-        if (elog_on()) {
-          obs::Json rec = ev_base("shed", picked);
-          rec.set("sojourn", sojourn);
-          event_log_->log(std::move(rec));
-        }
-        if (picked.proto_id != 0) {
-          // Shedding one op sheds the protocol: siblings are useless.
-          fail_protocol(picked.proto_id, Outcome::kShed);
-        } else {
-          notify_request_gone(picked);
-          emit_outcome(picked, Outcome::kShed);
-        }
+        finish_bad(picked, Outcome::kShed, report_.resilience.shed, sojourn);
         continue;
       }
     }
     if (host) {
       dispatch_host(std::move(picked));
     } else {
-      dispatch(std::move(picked), *lane);
+      launch(std::move(picked), *lane, /*hedge_of=*/0);
     }
   }
   queue_.unpark_all();
@@ -1034,15 +966,7 @@ ServingRuntime::Lane* ServingRuntime::acquire_lane_for(const Request& r) {
       excl.insert(inf.lane);
     }
   }
-  return acquire_lane(r.degree, excl, /*allow_scan=*/true);
-}
-
-ServingRuntime::Lane* ServingRuntime::acquire_lane(std::uint32_t degree,
-                                                   std::size_t exclude,
-                                                   bool allow_scan) {
-  std::set<std::size_t> excl;
-  if (exclude != static_cast<std::size_t>(-1)) excl.insert(exclude);
-  return acquire_lane(degree, excl, allow_scan);
+  return acquire_lane(r.degree, excl);
 }
 
 ServingRuntime::Lane* ServingRuntime::acquire_lane(
@@ -1114,10 +1038,7 @@ ServingRuntime::Lane* ServingRuntime::carve_lane(std::uint32_t degree) {
             "runtime", now_, cfg_.repartition_cycles);
   }
   if (elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "carve");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{cfg_.chip_id});
+    obs::Json rec = ev_control("carve");
     rec.set("lane", std::uint64_t{lanes_.size()});
     rec.set("degree", std::uint64_t{degree});
     rec.set("ready", lane.free_at);
@@ -1142,7 +1063,8 @@ void ServingRuntime::reclaim_idle_lanes(unsigned needed,
   }
 }
 
-void ServingRuntime::dispatch(Request r, Lane& lane) {
+std::uint64_t ServingRuntime::launch(Request r, Lane& lane,
+                                     std::uint64_t hedge_of) {
   const LaneGeometry g = geometry_for(cfg_.chip, r.degree);
   const std::uint64_t t0 = now_;
   const std::size_t lane_idx = static_cast<std::size_t>(&lane - lanes_.data());
@@ -1170,28 +1092,36 @@ void ServingRuntime::dispatch(Request r, Lane& lane) {
     service = static_cast<std::uint64_t>(
         static_cast<double>(service) * chip_slow_factor_);
   }
-  const std::uint64_t completion = t0 + service;
   lane.free_at = t0 + g.occupancy();
   lane.in_flight += 1;
 
   const std::uint64_t bank_cycles =
       static_cast<std::uint64_t>(lane.banks) * g.occupancy();
   report_.busy_bank_cycles += bank_cycles;
-  TenantStats& ts = report_.tenants.at(r.tenant);
-  ts.bank_cycles += bank_cycles;
-  tenant_usage_[r.tenant] += static_cast<double>(bank_cycles) / ts.weight;
-
   const std::uint64_t id = next_dispatch_id_++;
-  report_.series.count("dispatched", t0);
-  report_.series.observe("queue_wait_cycles", t0, t0 - r.arrival_cycle);
+  if (hedge_of == 0) {
+    TenantStats& ts = report_.tenants.at(r.tenant);
+    ts.bank_cycles += bank_cycles;
+    tenant_usage_[r.tenant] += static_cast<double>(bank_cycles) / ts.weight;
+    report_.series.count("dispatched", t0);
+    report_.series.observe("queue_wait_cycles", t0, t0 - r.arrival_cycle);
+  } else {
+    // Hedges burn real bank-cycles but are not charged to the tenant's
+    // fairness ledger — the duplicate is the runtime's choice, not theirs.
+    report_.resilience.hedges += 1;
+    report_.series.count("hedges", t0);
+  }
   if (elog_on()) {
-    obs::Json rec = ev_base("dispatched", r);
+    obs::Json rec = ev_base(hedge_of == 0 ? "dispatched" : "hedge", r);
     rec.set("dispatch", id);
+    if (hedge_of != 0) rec.set("parent", hedge_of);
     rec.set("lane", std::uint64_t{lane_idx});
-    rec.set("wait", t0 - r.arrival_cycle);
-    if (r.attempts > 0) rec.set("attempt", std::uint64_t{r.attempts});
+    if (hedge_of == 0) {
+      rec.set("wait", t0 - r.arrival_cycle);
+      if (r.attempts > 0) rec.set("attempt", std::uint64_t{r.attempts});
+    }
     if (is_probe) rec.set("probe", true);
-    if (r.proto_id != 0) {
+    if (hedge_of == 0 && r.proto_id != 0) {
       // DAG linkage: the fan-out tests read these to check that sibling
       // limb ops landed on distinct lanes.
       rec.set("proto", r.proto_id);
@@ -1204,8 +1134,8 @@ void ServingRuntime::dispatch(Request r, Lane& lane) {
   auto& tr = obs::tracer();
   if (tr.enabled()) {
     // Flow chain anchor: first dispatch starts the request's arrow
-    // chain, re-dispatches (retries) continue it.
-    tr.flow(r.attempts == 0 ? 's' : 't', r.id, lane.track,
+    // chain; re-dispatches (retries) and hedge duplicates continue it.
+    tr.flow(hedge_of == 0 && r.attempts == 0 ? 's' : 't', r.id, lane.track,
             "req " + std::to_string(r.id), "flow", t0);
   }
   InFlight inf;
@@ -1213,22 +1143,21 @@ void ServingRuntime::dispatch(Request r, Lane& lane) {
   inf.lane = lane_idx;
   inf.dispatched_at = t0;
   inf.is_probe = is_probe;
-  if (resilience_on_) inf.corrupt = chaos_corrupting(lane, t0);
+  inf.corrupt = resilience_on_ && t0 < lane.corrupt_until;
   inf.chip_corrupt = t0 < chip_corrupt_until_;
-  add_in_flight(id, std::move(inf));
+  inf.is_hedge = hedge_of != 0;
+  inf.hedge_partner = hedge_of;
+  add_in_flight(id, std::move(inf), t0 + service);
 
-  Event e;
-  e.cycle = completion;
-  e.kind = EventKind::kCompletion;
-  e.dispatch_id = id;
-  events_.push(std::move(e));
-
-  if (resilience_on_ && cfg_.resilience.hedge) {
+  if (hedge_of == 0 && resilience_on_ && cfg_.resilience.hedge) {
     // Straggler check: if the request is still running after the hedge
     // delay, duplicate it onto a second lane (first result wins). The
     // check lands after the nominal completion only when the lane is
     // chaos-slowed — exactly the straggler case hedging targets.
-    const std::uint64_t delay = hedge_delay_cycles();
+    const ResilienceConfig& res = cfg_.resilience;
+    const std::uint64_t delay =
+        hedge_delay_cycles(res.hedge_delay_us, cfg_.cycles_per_us(),
+                           res.hedge_min_samples, service_hist_);
     if (delay > 0) {
       Event he;
       he.cycle = t0 + delay;
@@ -1237,13 +1166,20 @@ void ServingRuntime::dispatch(Request r, Lane& lane) {
       events_.push(std::move(he));
     }
   }
+  return id;
 }
 
-void ServingRuntime::add_in_flight(std::uint64_t id, InFlight inf) {
+void ServingRuntime::add_in_flight(std::uint64_t id, InFlight inf,
+                                   std::uint64_t done_at) {
   if (inf.request.proto_id != 0) {
     proto_flights_.emplace(inf.request.proto_id, id);  // ids only grow
   }
   in_flight_.emplace(id, std::move(inf));
+  Event e;
+  e.cycle = done_at;
+  e.kind = EventKind::kCompletion;
+  e.dispatch_id = id;
+  events_.push(std::move(e));
 }
 
 std::map<std::uint64_t, ServingRuntime::InFlight>::iterator
@@ -1281,41 +1217,7 @@ void ServingRuntime::dispatch_host(Request r) {
   inf.request = std::move(r);
   inf.lane = kHostLane;
   inf.dispatched_at = t0;
-  add_in_flight(id, std::move(inf));
-  Event e;
-  e.cycle = t0 + service;
-  e.kind = EventKind::kCompletion;
-  e.dispatch_id = id;
-  events_.push(std::move(e));
-}
-
-void ServingRuntime::complete_host_op(const Event& e, const InFlight& inf) {
-  const Request& r = inf.request;
-  const std::uint64_t latency = now_ - r.arrival_cycle;
-  report_.completed += 1;
-  report_.latency_cycles.add(latency);
-  report_.series.count("completed", now_);
-  report_.series.observe("latency_cycles", now_, latency);
-  report_.slo.record_good(now_, latency);
-  obs::metrics()
-      .histogram("cryptopim.runtime.latency_cycles", "cycles")
-      .add(latency);
-  TenantStats& ts = report_.tenants.at(r.tenant);
-  ts.completed += 1;
-  ts.latency_cycles.add(latency);
-  if (r.deadline_cycle > 0 && now_ > r.deadline_cycle) {
-    report_.deadline_misses += 1;
-    ts.deadline_misses += 1;
-  }
-  if (elog_on()) {
-    obs::Json rec = ev_base("completed", r);
-    rec.set("dispatch", e.dispatch_id);
-    rec.set("host", true);
-    rec.set("latency", latency);
-    event_log_->log(std::move(rec));
-  }
-  on_op_complete(r, inf.dispatched_at);
-  try_dispatch();
+  add_in_flight(id, std::move(inf), t0 + service);
 }
 
 void ServingRuntime::on_op_complete(const Request& r,
@@ -1348,6 +1250,7 @@ void ServingRuntime::on_op_complete(const Request& r,
   const std::uint64_t latency = now_ - done.origin.arrival_cycle;
   report_.protocol.completed += 1;
   report_.protocol.latency_cycles.add(latency);
+  report_.slo.record_good(now_, latency);
   bool ok = true;
   if (done.origin.verify && proto_harness_) {
     report_.protocol.joins += 1;
@@ -1368,15 +1271,6 @@ void ServingRuntime::on_op_complete(const Request& r,
     event_log_->log(std::move(rec));
   }
   emit_outcome(done.origin, Outcome::kCompleted);
-  if (workload_) {
-    if (auto next = workload_->next_after_completion(done.origin, now_)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
-    }
-  }
 }
 
 void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
@@ -1412,7 +1306,6 @@ void ServingRuntime::fail_protocol(std::uint64_t proto_id, Outcome o) {
     rec.set("ops_cancelled", cancelled);
     event_log_->log(std::move(rec));
   }
-  notify_request_gone(st.origin);
   emit_outcome(st.origin, o);
 }
 
@@ -1422,7 +1315,7 @@ void ServingRuntime::handle_completion(const Event& e) {
   const InFlight inf = std::move(it->second);
   erase_in_flight(it);
   if (inf.lane == kHostLane) {
-    complete_host_op(e, inf);
+    complete(inf, e.dispatch_id);
     return;
   }
   Lane& lane = lanes_[inf.lane];
@@ -1438,16 +1331,21 @@ void ServingRuntime::handle_completion(const Event& e) {
       if (inf.is_hedge) report_.resilience.hedge_wins += 1;
     }
   }
-  if (inf.chip_corrupt) {
-    // Whole-chip corruption storm: the layered checks catch the bad
-    // result on completion irrespective of the per-lane resilience layer
-    // — a storm result is never delivered as good. The chip's own
-    // retries get a shot when resilience is on; otherwise (or once
-    // exhausted) the request is surrendered to the fleet for a
-    // cross-chip retry.
-    report_.chip_corruptions += 1;
+  // Detected corruption, never delivered as good: the layered checks of
+  // the reliability stack (write-verify, parity, Freivalds) catch a
+  // chaos/wear-corrupted result, and a whole-chip corruption storm's
+  // result irrespective of the per-lane resilience layer. The chip's own
+  // retries get a shot when resilience is on; otherwise (or once
+  // exhausted) the request fails — for a storm, surrendered to the fleet
+  // for a cross-chip retry.
+  const bool storm = inf.chip_corrupt;
+  if (storm ||
+      (resilience_on_ && inf.corrupt && cfg_.resilience.chaos_detect)) {
+    (storm ? report_.chip_corruptions
+           : report_.resilience.detected_corruptions) += 1;
     if (elog_on()) {
-      obs::Json rec = ev_base("chip_corruption_detected", r);
+      obs::Json rec = ev_base(
+          storm ? "chip_corruption_detected" : "corruption_detected", r);
       rec.set("dispatch", e.dispatch_id);
       rec.set("lane", std::uint64_t{inf.lane});
       event_log_->log(std::move(rec));
@@ -1459,48 +1357,13 @@ void ServingRuntime::handle_completion(const Event& e) {
       }
     }
     if (!resilience_on_ || !schedule_retry(r, /*count_as_bank_retry=*/false)) {
-      report_.chip_failed += 1;
-      record_bad_outcome("failed");
-      if (elog_on()) event_log_->log(ev_base("failed", r));
-      if (r.proto_id != 0) {
-        fail_protocol(r.proto_id, Outcome::kFailed);
-      } else {
-        notify_request_gone(r);
-        emit_outcome(r, Outcome::kFailed);
-      }
+      finish_bad(r, Outcome::kFailed,
+                 storm ? report_.chip_failed : report_.resilience.failed);
     }
     try_dispatch();
     return;
   }
   if (resilience_on_) {
-    if (inf.corrupt && cfg_.resilience.chaos_detect) {
-      // The layered checks of the reliability stack (write-verify,
-      // parity, Freivalds) catch the corrupt result; never delivered.
-      report_.resilience.detected_corruptions += 1;
-      if (elog_on()) {
-        obs::Json rec = ev_base("corruption_detected", r);
-        rec.set("dispatch", e.dispatch_id);
-        rec.set("lane", std::uint64_t{inf.lane});
-        event_log_->log(std::move(rec));
-      }
-      record_lane_outcome(lane, inf.lane, false);
-      if (lane.draining && lane.in_flight == 0) {
-        remap_drained_lane(lane, inf.lane);
-      }
-      if (!schedule_retry(r, /*count_as_bank_retry=*/false)) {
-        report_.resilience.failed += 1;
-        record_bad_outcome("failed");
-        if (elog_on()) event_log_->log(ev_base("failed", r));
-        if (r.proto_id != 0) {
-          fail_protocol(r.proto_id, Outcome::kFailed);
-        } else {
-          notify_request_gone(r);
-          emit_outcome(r, Outcome::kFailed);
-        }
-      }
-      try_dispatch();
-      return;
-    }
     if (inf.corrupt) {
       // Detection disabled: the corrupt result sails through as if good
       // (this counter existing at zero is what proves the checks work).
@@ -1508,13 +1371,19 @@ void ServingRuntime::handle_completion(const Event& e) {
     }
     record_lane_outcome(lane, inf.lane, /*ok=*/true);
   }
+  complete(inf, e.dispatch_id);
+}
 
+void ServingRuntime::complete(const InFlight& inf, std::uint64_t dispatch_id) {
+  const Request& r = inf.request;
+  const bool host = inf.lane == kHostLane;
   const std::uint64_t latency = now_ - r.arrival_cycle;
   report_.completed += 1;
   report_.latency_cycles.add(latency);
   report_.series.count("completed", now_);
   report_.series.observe("latency_cycles", now_, latency);
-  report_.slo.record_good(now_, latency);
+  // A protocol request meets or misses its SLO once, at the join.
+  if (r.proto_id == 0) report_.slo.record_good(now_, latency);
   obs::metrics()
       .histogram("cryptopim.runtime.latency_cycles", "cycles")
       .add(latency);
@@ -1527,45 +1396,60 @@ void ServingRuntime::handle_completion(const Event& e) {
   }
   if (elog_on()) {
     obs::Json rec = ev_base("completed", r);
-    rec.set("dispatch", e.dispatch_id);
-    rec.set("lane", std::uint64_t{inf.lane});
+    rec.set("dispatch", dispatch_id);
+    if (host) {
+      rec.set("host", true);
+    } else {
+      rec.set("lane", std::uint64_t{inf.lane});
+    }
     rec.set("latency", latency);
     if (inf.is_hedge) rec.set("hedge", true);
     event_log_->log(std::move(rec));
   }
-  auto& tr = obs::tracer();
-  if (tr.enabled()) {
-    tr.emit(lanes_[inf.lane].track,
-            "req " + std::to_string(r.id) + " t" + std::to_string(r.tenant),
-            "runtime", inf.dispatched_at, now_ - inf.dispatched_at);
-    // Terminal point of the request's flow-arrow chain.
-    tr.flow('f', r.id, lanes_[inf.lane].track, "req " + std::to_string(r.id),
-            "flow", now_);
-  }
-  // DAG ops verify at the protocol join (the whole flow through the
-  // backend), not per-op with Freivalds.
-  if (r.verify && r.proto_id == 0) verify_result(r);
-
-  if (resilience_on_ && lane.draining && lane.in_flight == 0) {
-    remap_drained_lane(lane, inf.lane);
+  if (!host) {
+    Lane& lane = lanes_[inf.lane];
+    auto& tr = obs::tracer();
+    if (tr.enabled()) {
+      tr.emit(lane.track,
+              "req " + std::to_string(r.id) + " t" + std::to_string(r.tenant),
+              "runtime", inf.dispatched_at, now_ - inf.dispatched_at);
+      // Terminal point of the request's flow-arrow chain.
+      tr.flow('f', r.id, lane.track, "req " + std::to_string(r.id), "flow",
+              now_);
+    }
+    // DAG ops verify at the protocol join (the whole flow through the
+    // backend), not per-op with Freivalds.
+    if (r.verify && r.proto_id == 0) verify_result(r);
+    if (resilience_on_ && lane.draining && lane.in_flight == 0) {
+      remap_drained_lane(lane, inf.lane);
+    }
   }
   if (r.proto_id != 0) {
     on_op_complete(r, inf.dispatched_at);
-    try_dispatch();
-    return;
-  }
-  emit_outcome(r, Outcome::kCompleted);
-
-  if (workload_) {
-    if (auto next = workload_->next_after_completion(r, now_)) {
-      Event ne;
-      ne.cycle = next->cycle;
-      ne.kind = EventKind::kArrival;
-      ne.request = next->request;
-      events_.push(std::move(ne));
-    }
+  } else {
+    emit_outcome(r, Outcome::kCompleted);
   }
   try_dispatch();
+}
+
+void ServingRuntime::finish_bad(const Request& r, Outcome o,
+                                std::uint64_t& counter,
+                                std::uint64_t sojourn) {
+  const char* name = outcome_name(o);
+  counter += 1;
+  report_.series.count(name, now_);
+  report_.slo.record_bad(now_);
+  if (elog_on()) {
+    obs::Json rec = ev_base(name, r);
+    if (o == Outcome::kShed) rec.set("sojourn", sojourn);
+    event_log_->log(std::move(rec));
+  }
+  if (r.proto_id != 0) {
+    // One op dead takes its whole protocol down: siblings are useless.
+    fail_protocol(r.proto_id, o);
+  } else {
+    emit_outcome(r, o);
+  }
 }
 
 void ServingRuntime::handle_bank_failure(const Event&) {
@@ -1573,10 +1457,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
   failed_banks_ += cfg_.fail_banks;
   report_.series.count("bank_failures", now_, cfg_.fail_banks);
   if (elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "bank_failure");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{cfg_.chip_id});
+    obs::Json rec = ev_control("bank_failure");
     rec.set("banks", std::uint64_t{cfg_.fail_banks});
     event_log_->log(std::move(rec));
   }
@@ -1621,15 +1502,7 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     }
     if (resilience_on_ && cfg_.resilience.max_retries > 0) {
       if (!schedule_retry(inf.request, /*count_as_bank_retry=*/true)) {
-        report_.resilience.failed += 1;
-        record_bad_outcome("failed");
-        if (elog_on()) event_log_->log(ev_base("failed", inf.request));
-        if (inf.request.proto_id != 0) {
-          fail_protocol(inf.request.proto_id, Outcome::kFailed);
-        } else {
-          notify_request_gone(inf.request);
-          emit_outcome(inf.request, Outcome::kFailed);
-        }
+        finish_bad(inf.request, Outcome::kFailed, report_.resilience.failed);
       }
       return;
     }
@@ -1657,15 +1530,18 @@ void ServingRuntime::handle_bank_failure(const Event&) {
     for (const InFlight& inf : torn) requeue_victim(inf);
   };
 
-  Lane* victim = pick_victim();
-  if (victim) {
-    const std::size_t victim_idx =
-        static_cast<std::size_t>(victim - lanes_.data());
-    tear_down_lane(victim_idx);
+  // The first victim remaps onto a spare while one is left; keep tearing
+  // lanes down for good while the pool (several banks may fail at once)
+  // is below what is still allocated.
+  for (bool first = true; first || allocated_banks_ > usable_banks();
+       first = false) {
+    Lane* victim = pick_victim();
+    if (!victim) break;
+    tear_down_lane(static_cast<std::size_t>(victim - lanes_.data()));
     victim->in_flight = 0;
     report_.repartitions += 1;
     auto& tr = obs::tracer();
-    if (tr.enabled()) {
+    if (first && tr.enabled()) {
       tr.emit(runtime_track_base(), "bank failure", "runtime", now_,
               cfg_.repartition_cycles);
     }
@@ -1679,18 +1555,6 @@ void ServingRuntime::handle_bank_failure(const Event&) {
                         cfg_.repartition_cycles;
       schedule_scan(victim->free_at);
     }
-  }
-  // Keep tearing lanes down if several banks failed at once and the pool
-  // shrank below what is still allocated.
-  while (allocated_banks_ > usable_banks()) {
-    Lane* next = pick_victim();
-    if (!next) break;
-    const std::size_t idx = static_cast<std::size_t>(next - lanes_.data());
-    tear_down_lane(idx);
-    next->in_flight = 0;
-    next->dead = true;
-    allocated_banks_ -= next->banks;
-    report_.repartitions += 1;
   }
   try_dispatch();
 }
@@ -1742,17 +1606,9 @@ void ServingRuntime::handle_timeout(const Event& e) {
   // complete and count a deadline miss.
   const AdmissionQueue::Entry* queued = queue_.find_id(e.dispatch_id);
   if (queued == nullptr) return;
-  const Request r = queue_.take(*queued);
-  report_.resilience.timed_out += 1;
-  record_bad_outcome("timed_out");
-  if (elog_on()) event_log_->log(ev_base("timed_out", r));
-  if (r.proto_id != 0) {
-    // One op past its deadline times the whole protocol out.
-    fail_protocol(r.proto_id, Outcome::kTimedOut);
-    return;
-  }
-  notify_request_gone(r);
-  emit_outcome(r, Outcome::kTimedOut);
+  // One op past its deadline times the whole protocol out.
+  finish_bad(queue_.take(*queued), Outcome::kTimedOut,
+             report_.resilience.timed_out);
 }
 
 void ServingRuntime::handle_retry_enqueue(const Event& e) {
@@ -1770,74 +1626,12 @@ void ServingRuntime::handle_hedge(const Event& e) {
   if (it == in_flight_.end()) return;        // finished before the check
   if (it->second.is_hedge) return;           // never hedge a hedge
   if (it->second.hedge_partner != 0) return;  // already hedged
-  const Request& orig = it->second.request;
-
   // Only a lane that is free *right now* and distinct from the
   // straggler's own: a hedge that would queue is worthless.
-  Lane* lane = acquire_lane(orig.degree, it->second.lane,
+  Lane* lane = acquire_lane(it->second.request.degree, {it->second.lane},
                             /*allow_scan=*/false);
   if (!lane) return;
-  const std::size_t lane_idx = static_cast<std::size_t>(lane - lanes_.data());
-
-  const LaneGeometry g = geometry_for(cfg_.chip, orig.degree);
-  std::uint64_t service = g.service();
-  const bool is_probe = lane->breaker.note_dispatch(now_);
-  if (is_probe) report_.resilience.breaker_probes += 1;
-  if (health_ && health_->note_dispatch(lane_idx)) {
-    lane->corrupt_until = kForever;
-    lane->draining = true;
-    report_.resilience.wear_corruptions += 1;
-  }
-  if (health_ && health_->wants_drain(lane_idx)) lane->draining = true;
-  if (lane->slow_until > now_) {
-    service = static_cast<std::uint64_t>(
-        static_cast<double>(service) * cfg_.resilience.chaos.slow_factor);
-  }
-  if (now_ < chip_slow_until_) {
-    service = static_cast<std::uint64_t>(
-        static_cast<double>(service) * chip_slow_factor_);
-  }
-  lane->free_at = now_ + g.occupancy();
-  lane->in_flight += 1;
-  // Hedges burn real bank-cycles but are not charged to the tenant's
-  // fairness ledger — the duplicate is the runtime's choice, not theirs.
-  report_.busy_bank_cycles +=
-      static_cast<std::uint64_t>(lane->banks) * g.occupancy();
-
-  const std::uint64_t id = next_dispatch_id_++;
-  InFlight dup;
-  dup.request = orig;
-  dup.lane = lane_idx;
-  dup.dispatched_at = now_;
-  dup.corrupt = chaos_corrupting(*lane, now_);
-  dup.chip_corrupt = now_ < chip_corrupt_until_;
-  dup.is_probe = is_probe;
-  dup.is_hedge = true;
-  dup.hedge_partner = e.dispatch_id;
-  add_in_flight(id, std::move(dup));
-  it->second.hedge_partner = id;
-  report_.resilience.hedges += 1;
-  report_.series.count("hedges", now_);
-  if (elog_on()) {
-    obs::Json rec = ev_base("hedge", orig);
-    rec.set("dispatch", id);
-    rec.set("parent", e.dispatch_id);
-    rec.set("lane", std::uint64_t{lane_idx});
-    if (is_probe) rec.set("probe", true);
-    event_log_->log(std::move(rec));
-  }
-  auto& tr = obs::tracer();
-  if (tr.enabled()) {
-    // The duplicate continues the request's flow chain on its own lane.
-    tr.flow('t', orig.id, lane->track, "req " + std::to_string(orig.id),
-            "flow", now_);
-  }
-
-  Event ce;
-  ce.cycle = now_ + service;
-  ce.kind = EventKind::kCompletion;
-  ce.dispatch_id = id;
-  events_.push(std::move(ce));
+  it->second.hedge_partner = launch(it->second.request, *lane, e.dispatch_id);
 }
 
 void ServingRuntime::handle_health(const Event&) {
@@ -1913,7 +1707,9 @@ void ServingRuntime::handle_chaos(const Event&) {
 
 bool ServingRuntime::schedule_retry(Request r, bool count_as_bank_retry) {
   if (r.attempts >= cfg_.resilience.max_retries) return false;
-  const std::uint64_t backoff = retry_backoff(r.attempts + 1);
+  const std::uint64_t backoff =
+      backoff_cycles(cfg_.resilience.retry_backoff_cycles,
+                     cfg_.resilience.retry_backoff_cap_cycles, r.attempts + 1);
   // A retry that cannot finish by the deadline is not worth a token.
   if (r.deadline_cycle > 0 &&
       now_ + backoff + r.service_cycles > r.deadline_cycle) {
@@ -2001,45 +1797,6 @@ void ServingRuntime::remap_drained_lane(Lane& lane, std::size_t lane_idx) {
     tr.emit(runtime_track_base(), "wear remap lane " + std::to_string(lane_idx),
             "resilience", now_, cfg_.repartition_cycles);
   }
-}
-
-void ServingRuntime::notify_request_gone(const Request& r) {
-  // Shed / timed-out / failed requests still complete the closed-loop
-  // cycle: the client observes the error and re-issues after thinking.
-  if (!workload_) return;  // fleet drive: the front-end owns the loop
-  if (auto next = workload_->next_after_completion(r, now_)) {
-    Event ne;
-    ne.cycle = next->cycle;
-    ne.kind = EventKind::kArrival;
-    ne.request = next->request;
-    events_.push(std::move(ne));
-  }
-}
-
-std::uint64_t ServingRuntime::hedge_delay_cycles() const {
-  const ResilienceConfig& res = cfg_.resilience;
-  if (res.hedge_delay_us > 0) {
-    return static_cast<std::uint64_t>(res.hedge_delay_us *
-                                      cfg_.cycles_per_us());
-  }
-  // p99-derived: hedge only after enough service-time samples to make
-  // the tail estimate meaningful; until then stragglers run unhedged.
-  if (service_hist_.count() < res.hedge_min_samples) return 0;
-  return service_hist_.quantile(0.99);
-}
-
-std::uint64_t ServingRuntime::retry_backoff(unsigned attempts) const {
-  const ResilienceConfig& res = cfg_.resilience;
-  std::uint64_t b = res.retry_backoff_cycles;
-  for (unsigned i = 1; i < attempts && b < res.retry_backoff_cap_cycles; ++i) {
-    b <<= 1;
-  }
-  return std::min(b, res.retry_backoff_cap_cycles);
-}
-
-bool ServingRuntime::chaos_corrupting(const Lane& lane,
-                                      std::uint64_t at) const {
-  return at < lane.corrupt_until;
 }
 
 void ServingRuntime::arm_health_tick(std::uint64_t delay) {

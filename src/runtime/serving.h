@@ -353,32 +353,71 @@ class ServingRuntime {
   struct Lane;
   struct InFlight;
 
+  // -- request transitions: each goes through exactly one member -------------
+  /// Submit and admit: a raw request, or a protocol request admitted
+  /// all-or-nothing as its DAG of ops.
   void handle_arrival(const Event& e);
+  /// Refuse `ops` units of work of `r` at admission; `reason` is
+  /// unservable, queue_full or deadline_infeasible.
+  void reject(const Request& r, const char* reason, std::uint64_t ops);
+  /// Start `r` on `lane` now: breaker probe, wear/drain, slow factors,
+  /// lane occupancy, bank-cycle accounting, corrupt flags, the in-flight
+  /// entry and its completion event. `hedge_of` is the straggler's
+  /// dispatch id for a hedge duplicate (uncharged to the tenant), 0 for
+  /// a dispatch from the queue. Returns the new dispatch id.
+  std::uint64_t launch(Request r, Lane& lane, std::uint64_t hedge_of);
+  /// Launch a laneless host op (sampling / aggregation) at the fixed
+  /// host_op_cycles cost.
+  void dispatch_host(Request r);
   void handle_completion(const Event& e);
+  /// Good completion of a lane or host op: ledger, latency, then the
+  /// op's protocol progress or the request's outcome.
+  void complete(const InFlight& inf, std::uint64_t dispatch_id);
+  /// Bad terminal fate after admission (shed / timed out / failed):
+  /// bumps `counter`, the windowed counter and the SLO, logs the record
+  /// (`sojourn` annotates a shed), then tears a DAG op's protocol down
+  /// or reports the request's outcome.
+  void finish_bad(const Request& r, Outcome o, std::uint64_t& counter,
+                  std::uint64_t sojourn = 0);
+  /// Report a terminal fate: journal, fleet outcome sink and, unless it
+  /// was rejected, the closed-loop client's re-issue.
+  void emit_outcome(const Request& r, Outcome o);
+  /// Client loop: chain the workload's next arrival after `r` arrived
+  /// (open loop) or reached its terminal fate (closed loop). No-op in
+  /// fleet drive, where the front-end owns the loop.
+  void chain_arrival(const Request& r, bool arrived);
+
   void handle_bank_failure(const Event& e);
   void try_dispatch();
 
   /// A lane of `degree`'s class that can accept work *now*, carving a
   /// new one from free banks if needed; nullptr when the class must
   /// wait (a wake-up scan is scheduled whenever one is known).
-  /// `exclude` masks one lane index (hedging must pick a *second* lane);
+  /// `exclude` masks lane indices (hedging must pick a *second* lane);
   /// `allow_scan` = false suppresses wake-up scans (hedges that find no
   /// lane are simply not launched).
   Lane* acquire_lane(std::uint32_t degree,
-                     std::size_t exclude = static_cast<std::size_t>(-1),
+                     const std::set<std::size_t>& exclude = {},
                      bool allow_scan = true);
-  Lane* acquire_lane(std::uint32_t degree,
-                     const std::set<std::size_t>& exclude, bool allow_scan);
   Lane* carve_lane(std::uint32_t degree);
   /// Returns banks of idle lanes (no in-flight work, nothing pending in
   /// their class) to the free pool until `needed` banks are available.
   void reclaim_idle_lanes(unsigned needed, std::uint32_t for_degree);
+  /// Stamp an admitted request's deadline: slack-derived, or the hard
+  /// resilience deadline.
+  void stamp_deadline(Request& r) const;
+  bool hard_deadline() const noexcept {
+    return resilience_on_ && cfg_.resilience.deadline_us > 0;
+  }
+  /// Queue a newly admitted request or DAG op, arming its queued-timeout
+  /// under a hard deadline.
+  void enqueue_admitted(Request r);
   /// Queue an admitted (or re-queued) request; a DAG op waits outside
   /// the ready buckets until its parents complete.
   void enqueue(Request r);
-  void dispatch(Request r, Lane& lane);
-  /// Insert / erase an in_flight_ entry, keeping proto_flights_ in step.
-  void add_in_flight(std::uint64_t id, InFlight inf);
+  /// Insert / erase an in_flight_ entry, keeping proto_flights_ in step;
+  /// insertion also schedules the entry's completion at `done_at`.
+  void add_in_flight(std::uint64_t id, InFlight inf, std::uint64_t done_at);
   std::map<std::uint64_t, InFlight>::iterator erase_in_flight(
       std::map<std::uint64_t, InFlight>::iterator it);
   void verify_result(const Request& r);
@@ -390,16 +429,12 @@ class ServingRuntime {
   bool elog_on() const noexcept {
     return event_log_ != nullptr && event_log_->enabled();
   }
-  /// A lifecycle record skeleton: {"ev":name,"cycle":now,"trace":r.id,
-  /// "tenant":r.tenant}. Callers add event-specific fields and hand it
-  /// to event_log_->log().
+  /// A control record skeleton: {"ev":name,"cycle":now,"chip":id}.
+  obs::Json ev_control(const char* name) const;
+  /// A lifecycle record skeleton: the control fields plus
+  /// "trace":r.id, "tenant":r.tenant. Callers add event-specific fields
+  /// and hand it to event_log_->log().
   obs::Json ev_base(const char* name, const Request& r) const;
-  /// Terminal-outcome bookkeeping shared by every "bad" exit (rejected /
-  /// shed / timed out / failed): windowed counter + SLO error.
-  void record_bad_outcome(const char* counter);
-  /// Report a terminal fate to the fleet's outcome sink (no-op when the
-  /// sink is unset, i.e. in the classic single-chip path).
-  void emit_outcome(const Request& r, Outcome o);
   /// Base trace track id for this chip's lane spans.
   std::uint32_t runtime_track_base() const noexcept {
     return kRuntimeTrackBase + cfg_.chip_id * kRuntimeTracksPerChip;
@@ -421,12 +456,6 @@ class ServingRuntime {
   void cancel_in_flight(std::uint64_t dispatch_id);
   /// Remap a fully drained worn lane onto fresh banks.
   void remap_drained_lane(Lane& lane, std::size_t lane_idx);
-  /// The request failed for good (no retry): tell the closed-loop client
-  /// so it re-issues, exactly like a completion would.
-  void notify_request_gone(const Request& r);
-  std::uint64_t hedge_delay_cycles() const;
-  std::uint64_t retry_backoff(unsigned attempts) const;
-  bool chaos_corrupting(const Lane& lane, std::uint64_t at) const;
   void arm_health_tick(std::uint64_t cycle);
   void arm_chaos_episode();
 
@@ -439,17 +468,11 @@ class ServingRuntime {
     std::uint32_t ops_done = 0;
     std::uint64_t done_mask = 0;
   };
-  /// Protocol-mode arrival: all-or-nothing admission of the whole DAG.
-  void handle_proto_arrival(const Event& e);
   /// Frontier check: all of the op's parents completed.
   bool proto_ready(const Request& r) const;
   /// Lane acquisition honouring fan-out groups: a fan-out op never
   /// shares a lane with an in-flight sibling of the same group.
   Lane* acquire_lane_for(const Request& r);
-  /// Dispatch a laneless host op (sampling / aggregation) at the fixed
-  /// host_op_cycles cost.
-  void dispatch_host(Request r);
-  void complete_host_op(const Event& e, const InFlight& inf);
   /// Mark one op done; on the last op, run the functional join and emit
   /// the protocol request's single good outcome.
   void on_op_complete(const Request& r, std::uint64_t dispatched_at);

@@ -217,6 +217,39 @@ TEST(ProtocolServing, ChaosCancelsDeadProtosExactlyOnce) {
                 r.protocol.ops_per_request);
 }
 
+TEST(ProtocolServing, SloCountsEachProtocolRequestOnce) {
+  // SLO objectives are per request: a protocol request is one good or
+  // one bad outcome however many ops it ran, and its latency is the
+  // protocol's end to end. Saturated fan-out (rejections) and a chaos
+  // cell with deadlines and shedding (op deaths that take their
+  // protocol down) both keep the ledger at protocol granularity.
+  for (const bool chaos : {false, true}) {
+    ServingConfig cfg =
+        proto_config(chaos ? ProtocolKind::kKem : ProtocolKind::kBgvMul, 3,
+                     chaos ? 300.0 : 100.0);
+    cfg.backend = "analytic";
+    cfg.queue_capacity = chaos ? 1024 : 128;
+    cfg.arrival_rate_per_s = chaos ? 4e6 : 5e6;
+    cfg.slo.availability = 0.99;
+    cfg.slo.latency_us = 100.0;
+    if (chaos) {
+      cfg.resilience = ResilienceConfig::chaos_preset(3);
+      cfg.resilience.deadline_us = 400.0;
+      cfg.resilience.codel_target_us = 20.0;
+    }
+    const auto r = ServingRuntime(cfg).run();
+    const auto& p = r.protocol;
+    EXPECT_GT(p.completed, 0u) << "chaos=" << chaos;
+    EXPECT_GT(p.rejected + p.failed, 0u) << "chaos=" << chaos;
+    EXPECT_EQ(r.slo.total(), p.completed + p.rejected + p.failed)
+        << "chaos=" << chaos;
+    EXPECT_DOUBLE_EQ(r.slo.availability(),
+                     static_cast<double>(p.completed) /
+                         static_cast<double>(r.slo.total()))
+        << "chaos=" << chaos;
+  }
+}
+
 // ------------------------------------------------------ lane placement --
 
 TEST(ProtocolServing, BgvLimbFanOutLandsOnDistinctLanes) {
