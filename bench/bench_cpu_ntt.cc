@@ -9,6 +9,7 @@
 #include "ntt/params.h"
 #include "ntt/poly.h"
 #include "ntt/reduction.h"
+#include "ntt/word_ntt.h"
 #include "obs/bench_report.h"
 
 namespace cp = cryptopim;
@@ -28,6 +29,24 @@ void BM_NegacyclicMultiply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NegacyclicMultiply)
+    ->RangeMultiplier(2)
+    ->Range(256, 32768)
+    ->Unit(benchmark::kMicrosecond);
+
+// The word-tier engine the serving runtime executes (WordLevelBackend).
+void BM_WordNegacyclicMultiply(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto p = cp::ntt::NttParams::for_degree(n);
+  const cp::ntt::WordNttEngine eng(p);
+  cp::Xoshiro256 rng(n);
+  const auto a = cp::ntt::sample_uniform(n, p.q, rng);
+  const auto b = cp::ntt::sample_uniform(n, p.q, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.negacyclic_multiply(a, b));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WordNegacyclicMultiply)
     ->RangeMultiplier(2)
     ->Range(256, 32768)
     ->Unit(benchmark::kMicrosecond);

@@ -5,7 +5,6 @@
 
 #include "common/bitutil.h"
 #include "ntt/modular.h"
-#include "ntt/ntt.h"
 
 namespace cryptopim::ntt {
 
@@ -43,80 +42,84 @@ WordNttEngine::WordNttEngine(const NttParams& params) : params_(params) {
   if (params_.q >= (1u << 30)) {
     throw std::invalid_argument("WordNttEngine requires q < 2^30");
   }
-  twoq_ = 2 * params_.q;
-  barrett_mu_ = static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(1) << 64) / params_.q);
-
-  // Identical table construction to GsNttEngine (bit-reversed twiddles,
-  // normal-order psi tables) so the two engines execute the same
-  // schedule over the same constants.
-  const GsNttEngine ref(params_);
+  const std::uint32_t n = params_.n;
   const std::uint32_t q = params_.q;
-  auto with_shoup = [q](const std::vector<std::uint32_t>& src,
-                        std::vector<std::uint32_t>& dst,
-                        std::vector<std::uint32_t>& dst_shoup) {
-    dst = src;
-    dst_shoup.resize(src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      dst_shoup[i] = shoup_of(src[i], q);
-    }
-  };
-  with_shoup(ref.forward_twiddles(), tw_fwd_, tw_fwd_shoup_);
-  with_shoup(ref.inverse_twiddles(), tw_inv_, tw_inv_shoup_);
-  with_shoup(ref.psi_powers(), psi_pow_, psi_pow_shoup_);
-  with_shoup(ref.psi_inv_scaled(), psi_inv_scaled_, psi_inv_scaled_shoup_);
+  twoq_ = 2 * q;
+  barrett_mu_ = static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(1) << 64) / q);
+
+  // bit_reverse is an involution, so storing psi^k at brv(k) gives
+  // tw[i] = psi^{brv(i)}.
+  tw_fwd_.resize(n);
+  tw_fwd_shoup_.resize(n);
+  tw_inv_.resize(n);
+  tw_inv_shoup_.resize(n);
+  std::uint32_t pw = 1, pw_inv = 1;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const auto i = static_cast<std::uint32_t>(bit_reverse(k, params_.log2n));
+    tw_fwd_[i] = pw;
+    tw_fwd_shoup_[i] = shoup_of(pw, q);
+    tw_inv_[i] = pw_inv;
+    tw_inv_shoup_[i] = shoup_of(pw_inv, q);
+    pw = mul_mod(pw, params_.psi, q);
+    pw_inv = mul_mod(pw_inv, params_.psi_inv, q);
+  }
+  n_inv_shoup_ = shoup_of(params_.n_inv, q);
 }
 
-void WordNttEngine::transform_lazy(std::span<std::uint32_t> a,
-                                   const std::vector<std::uint32_t>& tw,
-                                   const std::vector<std::uint32_t>& tw_shoup,
-                                   const StageProbe* probe) const {
+void WordNttEngine::forward_impl(std::span<std::uint32_t> a,
+                                 const StageProbe* probe) const {
   const std::uint32_t n = params_.n;
   const std::uint32_t q = params_.q;
   const std::uint32_t twoq = twoq_;
   assert(a.size() == n);
-
-  // Algorithm 2's schedule, lazy form: stage i pairs rows (j, j + 2^i),
-  // twiddle index j >> (i+1). Inputs in [0, 2q); u + v gets one
-  // conditional subtract, u - v + 2q (< 4q) feeds the Shoup multiply.
-  for (unsigned i = 0; i < params_.log2n; ++i) {
-    const std::uint32_t stride = 1u << i;
-    for (std::uint32_t idx = 0; idx < n / 2; ++idx) {
-      const std::uint32_t st = idx & (stride - 1);
-      const std::uint32_t j = ((idx & ~(stride - 1)) << 1) + st;
-      const std::uint32_t j2 = j + stride;
-      const std::uint32_t k = j >> (i + 1);
-      const std::uint32_t u = a[j];
-      const std::uint32_t v = a[j2];
-      a[j] = add_lazy(u, v, twoq);
-      a[j2] = mul_shoup_lazy(u - v + twoq, tw[k], tw_shoup[k], q);
+  // Cooley–Tukey with psi folded in (Longa–Naehrig Alg. 1): stage m has
+  // m blocks of 2t rows, block i pairs rows (j, j + t) under the single
+  // twiddle psi^{brv(m+i)}. Inputs in [0, 2q); the Shoup product v is
+  // in [0, 2q), so u + v and u - v + 2q are below 4q and one
+  // conditional subtract brings each back under 2q.
+  for (std::uint32_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
+    for (std::uint32_t i = 0; i < m; ++i) {
+      const std::uint32_t w = tw_fwd_[m + i];
+      const std::uint32_t ws = tw_fwd_shoup_[m + i];
+      std::uint32_t* lo = a.data() + 2 * i * t;
+      std::uint32_t* hi = lo + t;
+      for (std::uint32_t j = 0; j < t; ++j) {
+        const std::uint32_t u = lo[j];
+        const std::uint32_t v = mul_shoup_lazy(hi[j], w, ws, q);
+        lo[j] = add_lazy(u, v, twoq);
+        hi[j] = add_lazy(u, twoq - v, twoq);
+      }
     }
     if (probe && *probe) (*probe)(a);
   }
 }
 
-void WordNttEngine::forward_impl(std::span<std::uint32_t> a,
-                                 const StageProbe* probe) const {
-  const std::uint32_t q = params_.q;
-  assert(a.size() == params_.n);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = mul_shoup_lazy(a[i], psi_pow_[i], psi_pow_shoup_[i], q);
-  }
-  if (probe && *probe) (*probe)(a);
-  bitrev_permute(a);
-  transform_lazy(a, tw_fwd_, tw_fwd_shoup_, probe);
-}
-
 void WordNttEngine::inverse_impl(std::span<std::uint32_t> a,
                                  const StageProbe* probe) const {
+  const std::uint32_t n = params_.n;
   const std::uint32_t q = params_.q;
-  assert(a.size() == params_.n);
-  bitrev_permute(a);
-  transform_lazy(a, tw_inv_, tw_inv_shoup_, probe);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = mul_shoup_lazy(a[i], psi_inv_scaled_[i], psi_inv_scaled_shoup_[i],
-                          q);
+  const std::uint32_t twoq = twoq_;
+  assert(a.size() == n);
+  // Gentleman–Sande with psi^{-1} folded in (Longa–Naehrig Alg. 2), the
+  // mirror of the forward pass: u + v gets one conditional subtract,
+  // u - v + 2q (< 4q) feeds the Shoup multiply.
+  for (std::uint32_t m = n >> 1, t = 1; m > 0; m >>= 1, t <<= 1) {
+    for (std::uint32_t i = 0; i < m; ++i) {
+      const std::uint32_t w = tw_inv_[m + i];
+      const std::uint32_t ws = tw_inv_shoup_[m + i];
+      std::uint32_t* lo = a.data() + 2 * i * t;
+      std::uint32_t* hi = lo + t;
+      for (std::uint32_t j = 0; j < t; ++j) {
+        const std::uint32_t u = lo[j];
+        const std::uint32_t v = hi[j];
+        lo[j] = add_lazy(u, v, twoq);
+        hi[j] = mul_shoup_lazy(u - v + twoq, w, ws, q);
+      }
+    }
+    if (probe && *probe) (*probe)(a);
   }
+  for (auto& x : a) x = mul_shoup_lazy(x, params_.n_inv, n_inv_shoup_, q);
   if (probe && *probe) (*probe)(a);
 }
 

@@ -1,25 +1,31 @@
 // Host-speed word-level NTT engine.
 //
-// `WordNttEngine` computes the same negacyclic products as `GsNttEngine`
-// (and therefore the same results the gate-level crossbar simulator
-// produces) but on flat host words instead of simulated bit-serial
-// circuits. The speed comes from two classic tricks, both borrowed from
+// `WordNttEngine` computes the same negacyclic products as the
+// gate-level crossbar simulator, but on flat host words instead of
+// simulated bit-serial circuits. It does not copy the paper's
+// Algorithm 1 schedule (psi pre-twist, bit-reversal, Gentleman–Sande,
+// psi^{-1} n^{-1} post-scale). It runs the merged-twist schedule of
+// Kyber/NewHope-style software (Longa–Naehrig): a Cooley–Tukey forward
+// pass and a Gentleman–Sande inverse pass with the psi twist folded into
+// the twiddles, so no bit-reversal pass and no twist multiplies remain.
+// The forward output is therefore the spectrum in bit-reversed order.
+//
+// The speed comes from two classic tricks, both borrowed from
 // production NTT libraries (cf. gmp-ecm's libntt, SNIPPETS.md §2):
 //
-//  * Shoup multiplication: every constant operand c (twiddles, psi
-//    powers, the fused inverse scaling table) is stored with a
-//    precomputed reciprocal c' = floor(c * 2^32 / q), so x*c mod q is
-//    two 32x32 multiplies and a subtraction — no division, no runtime
-//    reduction constant.
+//  * Shoup multiplication: every constant operand c (twiddles, n^{-1})
+//    is stored with a precomputed reciprocal c' = floor(c * 2^32 / q),
+//    so x*c mod q is two 32x32 multiplies and a subtraction — no
+//    division, no runtime reduction constant.
 //  * Lazy partial reduction: intermediates live in the redundant range
-//    [0, 2q) through the whole transform; additions conditionally
-//    subtract 2q, Shoup/Barrett products land in [0, 2q) by
-//    construction, and a single final `normalize` pass brings the
+//    [0, 2q) after every stage; additions and subtractions end in one
+//    conditional subtract of 2q, Shoup/Barrett products land in [0, 2q)
+//    by construction, and a single final `normalize` pass brings the
 //    result back to canonical [0, q).
 //
-// Because every operation is exact modulo q, the canonical output is
-// bit-identical to GsNttEngine / the gate-level simulator — that
-// equivalence is enforced by tests/test_backend_diff.cc.
+// Every operation is exact modulo q and the negacyclic product is
+// unique, so the canonical product is bit-identical to the gate tier's
+// whatever schedule computes it — tests/test_backend_diff.cc pins that.
 //
 // Requires q < 2^30 so that the [0, 4q) butterfly intermediates fit in
 // 32 bits (every paper modulus is far below this).
@@ -34,14 +40,14 @@
 
 namespace cryptopim::ntt {
 
-/// Gentleman–Sande NTT over flat 32-bit words with Shoup/Barrett
+/// Merged-twist CT/GS NTT over flat 32-bit words with Shoup/Barrett
 /// precomputation and lazy [0, 2q) partial reduction.
 class WordNttEngine {
  public:
   /// Observation hook for the reduction-invariant property tests: called
-  /// after each arithmetic phase (pre-twist, every butterfly stage, the
-  /// inverse post-scale) with the current coefficient vector. Every
-  /// value handed to the probe is < 2q.
+  /// after every butterfly stage and after the inverse's n^{-1} pass with
+  /// the current coefficient vector. Every value handed to the probe is
+  /// < 2q.
   using StageProbe = std::function<void(std::span<const std::uint32_t>)>;
 
   /// Throws std::invalid_argument if params.q >= 2^30.
@@ -50,9 +56,9 @@ class WordNttEngine {
   const NttParams& params() const noexcept { return params_; }
   std::uint32_t two_q() const noexcept { return twoq_; }
 
-  /// Forward negacyclic NTT (psi pre-twist, bit-reverse, Algorithm 2).
-  /// Accepts any 32-bit coefficients (interpreted mod q); output is in
-  /// normal order, partial domain [0, 2q).
+  /// Forward negacyclic NTT (Cooley–Tukey, psi^{brv(i)} twiddles).
+  /// Expects coefficients in [0, 2q) in normal order; output is the
+  /// spectrum in *bit-reversed* order, partial domain [0, 2q).
   void forward_lazy(std::span<std::uint32_t> a) const {
     forward_impl(a, nullptr);
   }
@@ -60,8 +66,8 @@ class WordNttEngine {
     forward_impl(a, &probe);
   }
 
-  /// Inverse negacyclic NTT (bit-reverse, Algorithm 2 with w^{-1},
-  /// fused psi^{-i} n^{-1} post-scale). Expects coefficients in
+  /// Inverse negacyclic NTT (Gentleman–Sande, psi^{-brv(i)} twiddles,
+  /// then one n^{-1} pass). Expects the bit-reversed spectrum in
   /// [0, 2q); output is in normal order, partial domain [0, 2q).
   void inverse_lazy(std::span<std::uint32_t> a) const {
     inverse_impl(a, nullptr);
@@ -78,8 +84,8 @@ class WordNttEngine {
   /// The single final conditional-subtract pass: [0, 2q) -> [0, q).
   void normalize(std::span<std::uint32_t> a) const noexcept;
 
-  /// c = a * b over Z_q[x]/(x^n + 1); canonical [0, q) output,
-  /// bit-exact vs GsNttEngine::negacyclic_multiply.
+  /// c = a * b over Z_q[x]/(x^n + 1) for a, b in [0, 2q); canonical
+  /// [0, q) output.
   std::vector<std::uint32_t> negacyclic_multiply(
       std::span<const std::uint32_t> a,
       std::span<const std::uint32_t> b) const;
@@ -87,20 +93,16 @@ class WordNttEngine {
  private:
   void forward_impl(std::span<std::uint32_t> a, const StageProbe* probe) const;
   void inverse_impl(std::span<std::uint32_t> a, const StageProbe* probe) const;
-  void transform_lazy(std::span<std::uint32_t> a,
-                      const std::vector<std::uint32_t>& tw,
-                      const std::vector<std::uint32_t>& tw_shoup,
-                      const StageProbe* probe) const;
 
   NttParams params_;
   std::uint32_t twoq_ = 0;
   std::uint64_t barrett_mu_ = 0;  ///< floor(2^64 / q)
-  // Same tables and ordering as GsNttEngine, each paired with its Shoup
-  // reciprocal table.
+  // Twiddles indexed by butterfly block (entry 0 unused), each paired
+  // with its Shoup reciprocal table: psi^{brv(i)} for the forward pass,
+  // psi^{-brv(i)} for the inverse.
   std::vector<std::uint32_t> tw_fwd_, tw_fwd_shoup_;
   std::vector<std::uint32_t> tw_inv_, tw_inv_shoup_;
-  std::vector<std::uint32_t> psi_pow_, psi_pow_shoup_;
-  std::vector<std::uint32_t> psi_inv_scaled_, psi_inv_scaled_shoup_;
+  std::uint32_t n_inv_shoup_ = 0;  ///< Shoup reciprocal of params_.n_inv
 };
 
 }  // namespace cryptopim::ntt

@@ -440,13 +440,8 @@ obs::Json FleetRuntime::snapshot_state() const {
   s.set("parked", std::uint64_t{parked_.size()});
 
   obs::Json rngs = obs::Json::object();
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(workload_->rng_digest()));
-  rngs.set("workload", std::string(hex));
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(chaos_rng_.digest()));
-  rngs.set("chaos", std::string(hex));
+  rngs.set("workload", u64_hex(workload_->rng_digest()));
+  rngs.set("chaos", u64_hex(chaos_rng_.digest()));
   s.set("rng", std::move(rngs));
 
   // Every chip's own state dump: one fleet snapshot captures the whole
@@ -520,15 +515,7 @@ bool FleetRuntime::dispatch_to_fleet(const Request& r, bool first) {
   chips_[target]->inject(r, now_);
   if (first) {
     report_.routed += 1;
-    if (elog_on()) {
-      obs::Json rec = obs::Json::object();
-      rec.set("ev", "route");
-      rec.set("cycle", now_);
-      rec.set("chip", std::uint64_t{target});
-      rec.set("trace", r.id);
-      rec.set("tenant", std::uint64_t{r.tenant});
-      event_log_->log(std::move(rec));
-    }
+    log_control("route", target, &r);
     if (cfg_.hedge) {
       const std::uint64_t delay =
           hedge_delay_cycles(cfg_.hedge_delay_us, cfg_.chip.cycles_per_us(),
@@ -612,15 +599,9 @@ void FleetRuntime::on_outcome(std::uint32_t chip, const Request& r, Outcome o,
 void FleetRuntime::handle_fleet_retry(const Event& e) {
   const auto it = outstanding_.find(e.request.id);
   if (it == outstanding_.end() || it->second.done) return;
-  if (dispatch_to_fleet(e.request, /*first=*/false) && elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "fleet_retry");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{it->second.last_chip});
-    rec.set("trace", e.request.id);
-    rec.set("tenant", std::uint64_t{e.request.tenant});
-    rec.set("attempt", std::uint64_t{it->second.attempts});
-    event_log_->log(std::move(rec));
+  if (dispatch_to_fleet(e.request, /*first=*/false)) {
+    log_control("fleet_retry", it->second.last_chip, &e.request,
+                it->second.attempts);
   }
 }
 
@@ -639,15 +620,7 @@ void FleetRuntime::handle_hedge_check(const Event& e) {
   ent.last_dispatch_cycle = now_;
   chips_[target]->inject(ent.original, now_);
   report_.hedges_launched += 1;
-  if (elog_on()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("ev", "fleet_hedge");
-    rec.set("cycle", now_);
-    rec.set("chip", std::uint64_t{target});
-    rec.set("trace", ent.original.id);
-    rec.set("tenant", std::uint64_t{ent.original.tenant});
-    event_log_->log(std::move(rec));
-  }
+  log_control("fleet_hedge", target, &ent.original);
 }
 
 void FleetRuntime::handle_fleet_health() {
@@ -750,15 +723,7 @@ void FleetRuntime::redispatch_all(std::vector<Request> work) {
     if (ent.live > 0) continue;  // twin still running
     if (dispatch_to_fleet(r, /*first=*/false)) {
       report_.redispatched += 1;
-      if (elog_on()) {
-        obs::Json rec = obs::Json::object();
-        rec.set("ev", "migrate");
-        rec.set("cycle", now_);
-        rec.set("chip", std::uint64_t{ent.last_chip});
-        rec.set("trace", r.id);
-        rec.set("tenant", std::uint64_t{r.tenant});
-        event_log_->log(std::move(rec));
-      }
+      log_control("migrate", ent.last_chip, &r);
     }
   }
 }
@@ -841,12 +806,18 @@ void FleetRuntime::arm_chaos_episode() {
   fleet_q_.push(std::move(e));
 }
 
-void FleetRuntime::log_control(const char* ev, std::uint32_t chip) {
+void FleetRuntime::log_control(const char* ev, std::uint32_t chip,
+                               const Request* r, unsigned attempt) {
   if (!elog_on()) return;
   obs::Json rec = obs::Json::object();
   rec.set("ev", ev);
   rec.set("cycle", now_);
   rec.set("chip", std::uint64_t{chip});
+  if (r != nullptr) {
+    rec.set("trace", r->id);
+    rec.set("tenant", std::uint64_t{r->tenant});
+  }
+  if (attempt > 0) rec.set("attempt", std::uint64_t{attempt});
   event_log_->log(std::move(rec));
 }
 

@@ -231,7 +231,11 @@ class FleetRuntime {
   /// Fleet-level snapshot state: chip membership + shard map + cross-chip
   /// retry/hedge bookkeeping + RNG digests + every chip's own state dump.
   obs::Json snapshot_state() const;
-  void log_control(const char* ev, std::uint32_t chip);
+  /// One serve-events control record {ev, cycle, chip}; `r` appends the
+  /// request's trace id and tenant, a nonzero `attempt` the cross-chip
+  /// retry count.
+  void log_control(const char* ev, std::uint32_t chip,
+                   const Request* r = nullptr, unsigned attempt = 0);
   bool elog_on() const noexcept {
     return event_log_ != nullptr && event_log_->enabled();
   }

@@ -273,37 +273,4 @@ obs::Json ResilienceStats::to_json() const {
   return j;
 }
 
-void ResilienceStats::publish() const {
-  auto& reg = obs::metrics();
-  reg.counter("cryptopim.resilience.rejected_deadline", "requests")
-      .add(rejected_deadline);
-  reg.counter("cryptopim.resilience.timed_out", "requests").add(timed_out);
-  reg.counter("cryptopim.resilience.shed", "requests").add(shed);
-  reg.counter("cryptopim.resilience.retries", "requests").add(retries);
-  reg.counter("cryptopim.resilience.retry_budget_denied", "requests")
-      .add(retry_budget_denied);
-  reg.counter("cryptopim.resilience.failed", "requests").add(failed);
-  reg.counter("cryptopim.resilience.hedges", "requests").add(hedges);
-  reg.counter("cryptopim.resilience.hedge_wins", "requests").add(hedge_wins);
-  reg.counter("cryptopim.resilience.hedge_cancelled", "requests")
-      .add(hedge_cancelled);
-  reg.counter("cryptopim.resilience.breaker_opens", "events")
-      .add(breaker_opens);
-  reg.counter("cryptopim.resilience.breaker_probes", "events")
-      .add(breaker_probes);
-  reg.counter("cryptopim.resilience.breaker_closes", "events")
-      .add(breaker_closes);
-  reg.counter("cryptopim.resilience.scrubs", "events").add(scrubs);
-  reg.counter("cryptopim.resilience.proactive_remaps", "events")
-      .add(proactive_remaps);
-  reg.counter("cryptopim.resilience.wear_corruptions", "events")
-      .add(wear_corruptions);
-  reg.counter("cryptopim.resilience.chaos_episodes", "events")
-      .add(chaos_episodes);
-  reg.counter("cryptopim.resilience.detected_corruptions", "requests")
-      .add(detected_corruptions);
-  reg.counter("cryptopim.resilience.wrong_accepted", "requests")
-      .add(wrong_accepted);
-}
-
 }  // namespace cryptopim::runtime

@@ -303,8 +303,6 @@ struct ResilienceStats {
   std::uint64_t wrong_accepted = 0;        ///< corrupt result delivered (!)
 
   obs::Json to_json() const;
-  /// Mirror into the global registry as cryptopim.resilience.* counters.
-  void publish() const;
 };
 
 }  // namespace cryptopim::runtime

@@ -443,7 +443,6 @@ ServingReport ServingRuntime::seal() {
                             (static_cast<double>(horizon_) * cfg_.cycle_ns *
                              1e-9);
   }
-  publish_metrics();
   // Clean end of run: the seal pins the final conservation counters, so
   // a validator can check the whole ledger without the serving report
   // and --recover can tell "finished" from "interrupted".
@@ -487,10 +486,10 @@ void ServingRuntime::emit_outcome(const Request& r, Outcome o) {
     journal_->record(Journal::outcome_payload(jidx(), now_, r.id, o));
   }
   if (outcome_sink_) outcome_sink_(r, o, now_);
-  // Completed, shed, timed-out and failed requests complete the
+  // Every terminal outcome, a rejection included, completes the
   // closed-loop cycle: the client observes the result or the error and
-  // re-issues after thinking. A rejected request's client does not.
-  if (o != Outcome::kRejected) chain_arrival(r, /*arrived=*/false);
+  // re-issues after thinking.
+  chain_arrival(r, /*arrived=*/false);
 }
 
 void ServingRuntime::chain_arrival(const Request& r, bool arrived) {
@@ -507,17 +506,6 @@ void ServingRuntime::chain_arrival(const Request& r, bool arrived) {
 }
 
 // -- durability ---------------------------------------------------------------
-
-namespace {
-
-std::string u64_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-}  // namespace
 
 void ServingRuntime::enable_durability(const DurabilityOptions& opts) {
   durab_ = opts;
@@ -731,9 +719,6 @@ void ServingRuntime::handle_arrival(const Event& e) {
   report_.queue_depth.add(queue_.size());
   report_.series.count("submitted", now_, ops);
   report_.series.observe("queue_depth", now_, queue_.size());
-  obs::metrics()
-      .histogram("cryptopim.runtime.queue_depth", "requests")
-      .add(queue_.size());
   // Chain the next open-loop arrival before any admission decision so
   // backpressure never throttles the *offered* load.
   chain_arrival(r, /*arrived=*/true);
@@ -1384,9 +1369,6 @@ void ServingRuntime::complete(const InFlight& inf, std::uint64_t dispatch_id) {
   report_.series.observe("latency_cycles", now_, latency);
   // A protocol request meets or misses its SLO once, at the join.
   if (r.proto_id == 0) report_.slo.record_good(now_, latency);
-  obs::metrics()
-      .histogram("cryptopim.runtime.latency_cycles", "cycles")
-      .add(latency);
   TenantStats& ts = report_.tenants.at(r.tenant);
   ts.completed += 1;
   ts.latency_cycles.add(latency);
@@ -1822,50 +1804,6 @@ void ServingRuntime::arm_chaos_episode() {
   e.cycle = at;
   e.kind = EventKind::kChaos;
   events_.push(std::move(e));
-}
-
-void ServingRuntime::publish_metrics() const {
-  auto& reg = obs::metrics();
-  reg.counter("cryptopim.runtime.submitted", "requests")
-      .add(report_.submitted);
-  reg.counter("cryptopim.runtime.admitted", "requests").add(report_.admitted);
-  reg.counter("cryptopim.runtime.rejected", "requests").add(report_.rejected);
-  reg.counter("cryptopim.runtime.rejected_unservable", "requests")
-      .add(report_.rejected_unservable);
-  reg.counter("cryptopim.runtime.completed", "requests")
-      .add(report_.completed);
-  reg.counter("cryptopim.runtime.repartitions", "events")
-      .add(report_.repartitions);
-  reg.counter("cryptopim.runtime.bank_failures", "banks")
-      .add(report_.bank_failures);
-  reg.counter("cryptopim.runtime.retried", "requests").add(report_.retried);
-  reg.counter("cryptopim.runtime.deadline_misses", "requests")
-      .add(report_.deadline_misses);
-  reg.counter("cryptopim.runtime.verified", "requests").add(report_.verified);
-  reg.counter("cryptopim.runtime.verify_failures", "requests")
-      .add(report_.verify_failures);
-  reg.counter("cryptopim.runtime.busy_bank_cycles", "bank-cycles")
-      .add(report_.busy_bank_cycles);
-  if (report_.resilience_enabled) report_.resilience.publish();
-  if (report_.protocol_enabled) {
-    const ProtocolStats& p = report_.protocol;
-    reg.counter("cryptopim.runtime.protocol.requests", "requests")
-        .add(p.requests);
-    reg.counter("cryptopim.runtime.protocol.completed", "requests")
-        .add(p.completed);
-    reg.counter("cryptopim.runtime.protocol.failed", "requests").add(p.failed);
-    reg.counter("cryptopim.runtime.protocol.host_ops", "ops").add(p.host_ops);
-    reg.counter("cryptopim.runtime.protocol.joins", "joins").add(p.joins);
-    reg.counter("cryptopim.runtime.protocol.join_mismatches", "joins")
-        .add(p.join_mismatches);
-    for (unsigned c = 0; c < 4; ++c) {
-      if (p.op_cycles[c].count() == 0) continue;
-      reg.histogram(std::string("cryptopim.runtime.protocol.op_cycles.") +
-                        op_class_name(static_cast<OpClass>(c)),
-                    "cycles")
-          .merge(p.op_cycles[c]);
-    }
-  }
 }
 
 }  // namespace cryptopim::runtime

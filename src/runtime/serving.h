@@ -23,10 +23,9 @@
 //
 // Observability: every run fills per-tenant pow2 latency histograms
 // (p50/p99/p999 via obs::Histogram::quantile), queue-depth and
-// utilization counters, publishes cryptopim.runtime.* metrics, and —
-// when the global tracer is enabled — emits one span per request on a
-// per-lane `runtime` track so Perfetto shows requests flowing across
-// superbank lanes.
+// utilization counters and — when the global tracer is enabled — emits
+// one span per request on a per-lane `runtime` track so Perfetto shows
+// requests flowing across superbank lanes.
 //
 // Verification: requests flagged `verify` carry a data seed; on
 // completion the runtime materialises the operands, runs the product
@@ -423,7 +422,6 @@ class ServingRuntime {
   void verify_result(const Request& r);
   unsigned usable_banks() const noexcept;
   void schedule_scan(std::uint64_t cycle);
-  void publish_metrics() const;
 
   // -- observability -----------------------------------------------------------
   bool elog_on() const noexcept {

@@ -52,6 +52,13 @@ std::string write_snapshot(const std::string& dir, std::uint64_t index,
   return base;
 }
 
+std::string u64_hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return std::string(buf);
+}
+
 SnapshotLoadResult load_snapshot(const std::string& path) {
   SnapshotLoadResult res;
   std::ifstream in(path, std::ios::binary);

@@ -34,6 +34,10 @@ namespace cryptopim::runtime {
 std::string write_snapshot(const std::string& dir, std::uint64_t index,
                            const obs::Json& state, std::uint32_t* state_crc);
 
+/// `v` as 16 lowercase hex digits: how snapshot states carry 64-bit RNG
+/// digests, which would lose bits on the JSON number path.
+std::string u64_hex(std::uint64_t v);
+
 struct SnapshotLoadResult {
   bool ok = false;
   std::string error;

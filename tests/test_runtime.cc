@@ -433,6 +433,35 @@ TEST(Serving, ClosedLoopSelfLimitsAtClientCount) {
   expect_work_conserved(r);
 }
 
+TEST(Serving, RejectedClosedLoopClientReissues) {
+  // A rejection is a terminal outcome like any other: the client sees the
+  // error, thinks and re-issues. With a 2-deep queue most of 64 clients
+  // bounce early on; each must still be issuing in the second half of
+  // the horizon instead of having dropped out at its first rejection.
+  ServingConfig cfg;
+  cfg.backend = "analytic";
+  cfg.closed_loop_clients = 64;
+  cfg.think_time_us = 5.0;
+  cfg.duration_us = 2000.0;
+  cfg.queue_capacity = 2;
+  cfg.workload.mix = {{256, 4.0}, {1024, 2.0}, {4096, 1.0}};
+  cfg.workload.tenants = 4;
+  cfg.workload.verify_every = 64;
+  cfg.workload.seed = 3;
+  ServingRuntime rt(cfg);
+  std::vector<std::uint64_t> last_outcome(cfg.closed_loop_clients, 0);
+  rt.set_outcome_sink(
+      [&last_outcome](const Request& r, Outcome, std::uint64_t cycle) {
+        last_outcome.at(r.client) = std::max(last_outcome.at(r.client), cycle);
+      });
+  const auto rep = rt.run();
+  EXPECT_GT(rep.rejected, 0u);
+  for (std::uint32_t c = 0; c < cfg.closed_loop_clients; ++c) {
+    EXPECT_GE(last_outcome[c], rep.duration_cycles / 2) << "client " << c;
+  }
+  expect_work_conserved(rep);
+}
+
 TEST(Serving, BankFailureRepartitionsAndStreamStillVerifies) {
   ServingConfig cfg = base_config(4096, 0);
   const double capacity = class_capacity_per_s(cfg, 4096);
