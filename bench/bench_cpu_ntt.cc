@@ -4,6 +4,9 @@
 // reductions, schoolbook oracle).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/rng.h"
 #include "ntt/ntt.h"
 #include "ntt/params.h"
@@ -149,6 +152,12 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // `--json` is the flag every other bench accepts; bench_cpu_ntt.json is
+  // written regardless, so drop it before google-benchmark rejects it.
+  argc = static_cast<int>(
+      std::remove_if(argv + 1, argv + argc,
+                     [](const char* arg) { return std::strcmp(arg, "--json") == 0; }) -
+      argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   cp::obs::BenchReporter rep("cpu_ntt");

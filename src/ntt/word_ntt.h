@@ -23,6 +23,12 @@
 //    by construction, and a single final `normalize` pass brings the
 //    result back to canonical [0, q).
 //
+// The loops themselves come from a WordKernels table (ntt/word_kernels.h):
+// AVX-512 or AVX2 Shoup butterflies on every level, including the
+// small-stride ones, and a vectorised Barrett point-wise product when the
+// CPU has them, the portable scalar loops otherwise. All tables compute
+// bit-identical values.
+//
 // Every operation is exact modulo q and the negacyclic product is
 // unique, so the canonical product is bit-identical to the gate tier's
 // whatever schedule computes it — tests/test_backend_diff.cc pins that.
@@ -37,6 +43,7 @@
 #include <vector>
 
 #include "ntt/params.h"
+#include "ntt/word_kernels.h"
 
 namespace cryptopim::ntt {
 
@@ -50,11 +57,17 @@ class WordNttEngine {
   /// < 2q.
   using StageProbe = std::function<void(std::span<const std::uint32_t>)>;
 
-  /// Throws std::invalid_argument if params.q >= 2^30.
+  /// Throws std::invalid_argument if params.q >= 2^30. Runs on
+  /// best_word_kernels().
   explicit WordNttEngine(const NttParams& params);
+  /// Same, on the given kernel table (degrees below its min_degree fall
+  /// back to the scalar table).
+  WordNttEngine(const NttParams& params, const WordKernels& kernels);
 
   const NttParams& params() const noexcept { return params_; }
   std::uint32_t two_q() const noexcept { return twoq_; }
+  /// The kernel table this engine runs on.
+  const WordKernels& kernels() const noexcept { return *kernels_; }
 
   /// Forward negacyclic NTT (Cooley–Tukey, psi^{brv(i)} twiddles).
   /// Expects coefficients in [0, 2q) in normal order; output is the
@@ -95,11 +108,12 @@ class WordNttEngine {
   void inverse_impl(std::span<std::uint32_t> a, const StageProbe* probe) const;
 
   NttParams params_;
+  const WordKernels* kernels_;
   std::uint32_t twoq_ = 0;
   std::uint64_t barrett_mu_ = 0;  ///< floor(2^64 / q)
   // Twiddles indexed by butterfly block (entry 0 unused), each paired
   // with its Shoup reciprocal table: psi^{brv(i)} for the forward pass,
-  // psi^{-brv(i)} for the inverse.
+  // psi^{-brv(i)} for the inverse. Padded past n for full-vector loads.
   std::vector<std::uint32_t> tw_fwd_, tw_fwd_shoup_;
   std::vector<std::uint32_t> tw_inv_, tw_inv_shoup_;
   std::uint32_t n_inv_shoup_ = 0;  ///< Shoup reciprocal of params_.n_inv

@@ -4,8 +4,9 @@
 // host nanoseconds. A track is one timeline in the viewer — one per bank
 // (A path), one per softbank (B path), plus a synthetic "pipeline" track
 // whose stage spans sum exactly to SimReport::wall_cycles. Spans cover
-// stages, circuit ops (multiply / reductions), microcode replays, and
-// inter-block switch transfers.
+// stages, circuit ops (multiply / reductions; recorded into the compiled
+// stage programs and re-emitted by every replay), and inter-block switch
+// transfers.
 //
 // Export is Chrome-trace JSON (the `traceEvents` array form), which
 // Perfetto (https://ui.perfetto.dev) and chrome://tracing load directly.
@@ -14,8 +15,8 @@
 // Cost model: tracing is compiled out entirely when CRYPTOPIM_TRACING=0
 // (CMake option, default ON), and when compiled in it is pay-per-use — a
 // disabled Tracer rejects events on a single branch, and the hot gate
-// loop (BlockExecutor::issue) is never instrumented; only span-level
-// call sites are.
+// kernel (BlockExecutor::issue / replay) is never instrumented; only
+// span-level call sites are.
 #pragma once
 
 #include <cstdint>

@@ -29,6 +29,16 @@ std::size_t RowMask::count() const noexcept {
   return n;
 }
 
+RowMask::WordWindow RowMask::word_window() const noexcept {
+  WordWindow win;
+  for (unsigned w = 0; w < ColumnBits::kWords; ++w) {
+    if (words_[w] == 0) continue;
+    if (win.last == 0) win.first = w;
+    win.last = w + 1;
+  }
+  return win;
+}
+
 namespace {
 
 // Host-facing surfaces must reject bad coordinates even under NDEBUG

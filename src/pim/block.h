@@ -30,8 +30,10 @@ inline constexpr std::size_t kBlockCols = 512;
 class ColumnBits {
  public:
   static constexpr std::size_t kWords = kBlockRows / 64;
+  using Words = std::array<std::uint64_t, kWords>;
 
   std::uint64_t word(std::size_t w) const noexcept { return words_[w]; }
+  const Words& words() const noexcept { return words_; }
   void set_word(std::size_t w, std::uint64_t v) noexcept { words_[w] = v; }
 
   bool get(std::size_t row) const noexcept {
@@ -48,7 +50,7 @@ class ColumnBits {
   void clear() noexcept { words_.fill(0); }
 
  private:
-  std::array<std::uint64_t, kWords> words_{};
+  Words words_{};
 };
 
 /// Row mask selecting which wordlines participate in a gate op.
@@ -62,6 +64,7 @@ class RowMask {
   static RowMask all();
 
   std::uint64_t word(std::size_t w) const noexcept { return words_[w]; }
+  const ColumnBits::Words& words() const noexcept { return words_; }
   bool get(std::size_t row) const noexcept {
     return (words_[row / 64] >> (row % 64)) & 1u;
   }
@@ -75,8 +78,16 @@ class RowMask {
   }
   std::size_t count() const noexcept;
 
+  /// Words [first, last) span every active row: first is the lowest
+  /// non-zero word, last one past the highest ({0, 0} when empty). Gate
+  /// kernels iterate only this window.
+  struct WordWindow {
+    unsigned first = 0, last = 0;
+  };
+  WordWindow word_window() const noexcept;
+
  private:
-  std::array<std::uint64_t, ColumnBits::kWords> words_{};
+  ColumnBits::Words words_{};
 };
 
 /// A permanently failed cell: reads always return `value` regardless of

@@ -1,11 +1,83 @@
 #include "pim/executor.h"
 
+#include <bit>
 #include <cassert>
 
 #include "obs/metrics.h"
 #include "pim/program.h"
 
 namespace cryptopim::pim {
+
+namespace {
+
+using Word = std::uint64_t;
+
+// v = f(a, b, c) on every word of the window, written under the mask.
+// Input complements are folded in as XOR masks, so the loop is
+// branch-free.
+template <typename F>
+inline void gate_words(ColumnBits& dst, const ColumnBits& ca,
+                       const ColumnBits& cb, const ColumnBits& cc,
+                       const MicroOp& op, const RowMask& mask,
+                       RowMask::WordWindow win, F f) {
+  const Word na = op.neg_a ? ~Word{0} : 0;
+  const Word nb = op.neg_b ? ~Word{0} : 0;
+  const Word nc = op.neg_c ? ~Word{0} : 0;
+  for (unsigned w = win.first; w < win.last; ++w) {
+    const Word m = mask.word(w);
+    const Word v = f(ca.word(w) ^ na, cb.word(w) ^ nb, cc.word(w) ^ nc);
+    dst.set_word(w, (dst.word(w) & ~m) | (v & m));
+  }
+}
+
+// The one gate kernel behind issue() and replay(): evaluates `op` on the
+// rows of `mask` inside `win`, with the kind switch hoisted out of the
+// word loop. No accounting, no fault enforcement.
+void apply_gate(MemoryBlock& block, const MicroOp& op, const RowMask& mask,
+                RowMask::WordWindow win) {
+  ColumnBits& d = block.column(op.dst);
+  const ColumnBits& a = block.column(op.a);
+  const ColumnBits& b = block.column(op.b);
+  const ColumnBits& c = block.column(op.c);
+  const auto run = [&](auto f) { gate_words(d, a, b, c, op, mask, win, f); };
+  using W = Word;
+  switch (op.kind) {
+    case GateKind::kSet0: run([](W, W, W) { return W{0}; }); break;
+    case GateKind::kSet1: run([](W, W, W) { return ~W{0}; }); break;
+    case GateKind::kNot:  run([](W x, W, W) { return ~x; }); break;
+    case GateKind::kNor:  run([](W x, W y, W) { return ~(x | y); }); break;
+    case GateKind::kNand: run([](W x, W y, W) { return ~(x & y); }); break;
+    case GateKind::kOr:   run([](W x, W y, W) { return x | y; }); break;
+    case GateKind::kAnd:  run([](W x, W y, W) { return x & y; }); break;
+    case GateKind::kXor2: run([](W x, W y, W) { return x ^ y; }); break;
+    case GateKind::kXor3: run([](W x, W y, W z) { return x ^ y ^ z; }); break;
+    case GateKind::kMaj3:
+      run([](W x, W y, W z) { return (x & y) | (x & z) | (y & z); });
+      break;
+    case GateKind::kMin3:
+      run([](W x, W y, W z) { return ~((x & y) | (x & z) | (y & z)); });
+      break;
+    case GateKind::kMux:
+      run([](W x, W y, W z) { return (x & z) | (y & ~z); });
+      break;
+    case GateKind::kCopy: run([](W x, W, W) { return x; }); break;
+  }
+}
+
+// In-place transpose of a 64x64 bit matrix: bit c of t[r] and bit r of
+// t[c] trade places (recursive block swap, 6 rounds of 32 word pairs).
+void transpose64(std::array<Word, 64>& t) noexcept {
+  Word m = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const Word x = ((t[k] >> j) ^ t[k | j]) & m;
+      t[k] ^= x << j;
+      t[k | j] ^= x;
+    }
+  }
+}
+
+}  // namespace
 
 void ExecStats::publish(obs::MetricsRegistry& reg) const {
   reg.counter("cryptopim.exec.cycles", "cycles").add(cycles);
@@ -42,6 +114,7 @@ Col BlockExecutor::alloc_col() {
   // + live allocations).
   const std::uint64_t in_use = kBlockCols - free_cols_.size();
   if (in_use > stats_.cols_peak) stats_.cols_peak = in_use;
+  if (recorder_ != nullptr) recorder_->note_cols_in_use(in_use);
   return c;
 }
 
@@ -68,11 +141,12 @@ void BlockExecutor::free(const Operand& op) {
 }
 
 void BlockExecutor::reserve_region(Col base, unsigned width) {
-  for (Col c = base; c < base + width; ++c) {
+  const unsigned end = base + width;
+  for (unsigned c = base; c < end; ++c) {
     assert(refcount_[c] == 0 && "region already in use");
     refcount_[c] = kSticky;
-    std::erase(free_cols_, c);
   }
+  std::erase_if(free_cols_, [&](Col c) { return c >= base && c < end; });
 }
 
 Operand BlockExecutor::contiguous(Col base, unsigned width) const {
@@ -120,37 +194,70 @@ void BlockExecutor::issue(const MicroOp& op) {
   stats_.cycles += cycles;
   stats_.micro_ops += 1;
   stats_.cell_events += static_cast<std::uint64_t>(cycles) * mask_.count();
-
-  ColumnBits& dst = block_.column(op.dst);
-  const ColumnBits& ca = block_.column(op.a);
-  const ColumnBits& cb = block_.column(op.b);
-  const ColumnBits& cc = block_.column(op.c);
-
-  for (std::size_t w = 0; w < ColumnBits::kWords; ++w) {
-    const std::uint64_t m = mask_.word(w);
-    if (m == 0) continue;
-    const std::uint64_t a = op.neg_a ? ~ca.word(w) : ca.word(w);
-    const std::uint64_t b = op.neg_b ? ~cb.word(w) : cb.word(w);
-    const std::uint64_t c = op.neg_c ? ~cc.word(w) : cc.word(w);
-    std::uint64_t v = 0;
-    switch (op.kind) {
-      case GateKind::kSet0: v = 0; break;
-      case GateKind::kSet1: v = ~std::uint64_t{0}; break;
-      case GateKind::kNot:  v = ~a; break;
-      case GateKind::kNor:  v = ~(a | b); break;
-      case GateKind::kNand: v = ~(a & b); break;
-      case GateKind::kOr:   v = a | b; break;
-      case GateKind::kAnd:  v = a & b; break;
-      case GateKind::kXor2: v = a ^ b; break;
-      case GateKind::kXor3: v = a ^ b ^ c; break;
-      case GateKind::kMaj3: v = (a & b) | (a & c) | (b & c); break;
-      case GateKind::kMin3: v = ~((a & b) | (a & c) | (b & c)); break;
-      case GateKind::kMux:  v = (a & c) | (b & ~c); break;
-      case GateKind::kCopy: v = a; break;
-    }
-    dst.set_word(w, (dst.word(w) & ~m) | (v & m));
-  }
+  apply_gate(block_, op, mask_, mask_.word_window());
   block_.enforce_faults();
+}
+
+void BlockExecutor::replay(const Program& program,
+                           std::span<const RowMask> mask_slots) {
+  // Replaying into a recording would need the markers re-based too; no
+  // caller does it.
+  assert(recorder_ == nullptr);
+  std::array<RowMask::WordWindow, kMaskSlots> windows{};
+  std::uint64_t cell_events = 0;
+  for (std::size_t s = 0; s < kMaskSlots; ++s) {
+    const std::uint64_t cycles = program.slot_cycles()[s];
+    if (cycles == 0) continue;
+    assert(s < mask_slots.size());
+    windows[s] = mask_slots[s].word_window();
+    cell_events += cycles * mask_slots[s].count();
+  }
+
+  // Stuck cells re-assert after every gate, as with issue(); a fault-free
+  // block (the common case) skips the check entirely.
+  const bool faulty = !block_.faults().empty();
+  for (const Instr& i : program.instrs()) {
+    apply_gate(block_, i.op, mask_slots[i.mask_slot], windows[i.mask_slot]);
+    if (faulty) block_.enforce_faults();
+  }
+
+#if CRYPTOPIM_TRACING
+  if (tracer_ != nullptr) {
+    const std::uint64_t t0 = trace_now();
+    for (const SpanMark& m : program.marks()) {
+      if (m.begin) {
+        tracer_->begin(trace_track_, m.name, m.cat, t0 + m.cycle);
+      } else {
+        tracer_->end(trace_track_, t0 + m.cycle);
+      }
+    }
+  }
+#endif
+  stats_.cycles += program.cycles();
+  stats_.micro_ops += program.size();
+  stats_.cell_events += cell_events;
+  if (program.cols_peak() > stats_.cols_peak) {
+    stats_.cols_peak = program.cols_peak();
+  }
+}
+
+void BlockExecutor::trace_begin(std::string name, std::string cat) {
+#if CRYPTOPIM_TRACING
+  if (recorder_ != nullptr) recorder_->mark_begin(name, cat);
+  if (tracer_ != nullptr) {
+    tracer_->begin(trace_track_, std::move(name), std::move(cat),
+                   trace_now());
+  }
+#else
+  (void)name, (void)cat;
+#endif
+}
+
+void BlockExecutor::trace_end() {
+#if CRYPTOPIM_TRACING
+  if (recorder_ != nullptr) recorder_->mark_end();
+  if (tracer_ != nullptr) tracer_->end(trace_track_, trace_now());
+#endif
 }
 
 void BlockExecutor::charge_transfer(unsigned bits, unsigned cycles,
@@ -168,37 +275,57 @@ void BlockExecutor::charge_transfer(unsigned bits, unsigned cycles,
 
 void BlockExecutor::host_write(const Operand& op,
                                std::span<const std::uint64_t> values) {
+  assert(op.width() <= 64);
+  // One 64-row word at a time: gather the active rows' values, transpose
+  // so tile[i] holds bit i of every row, and store each bit column with
+  // one masked word write.
+  std::array<Word, 64> tile;
   std::size_t v = 0;
-  for (std::size_t row = 0; row < kBlockRows; ++row) {
-    if (!mask_.get(row)) continue;
-    assert(v < values.size());
-    for (unsigned i = 0; i < op.width(); ++i) {
-      block_.column(op.col(i)).set(row, (values[v] >> i) & 1u);
+  for (std::size_t w = 0; w < ColumnBits::kWords; ++w) {
+    const Word m = mask_.word(w);
+    if (m == 0) continue;
+    tile.fill(0);
+    for (Word rest = m; rest != 0; rest &= rest - 1) {
+      assert(v < values.size());
+      tile[static_cast<unsigned>(std::countr_zero(rest))] = values[v++];
     }
-    ++v;
+    transpose64(tile);
+    for (unsigned i = 0; i < op.width(); ++i) {
+      ColumnBits& col = block_.column(op.col(i));
+      col.set_word(w, (col.word(w) & ~m) | (tile[i] & m));
+    }
   }
   assert(v == values.size());
   block_.enforce_faults();
 }
 
 std::vector<std::uint64_t> BlockExecutor::host_read(const Operand& op) const {
+  assert(op.width() <= 64);
   std::vector<std::uint64_t> out;
-  for (std::size_t row = 0; row < kBlockRows; ++row) {
-    if (!mask_.get(row)) continue;
-    std::uint64_t v = 0;
+  out.reserve(mask_.count());
+  std::array<Word, 64> tile;
+  for (std::size_t w = 0; w < ColumnBits::kWords; ++w) {
+    const Word m = mask_.word(w);
+    if (m == 0) continue;
+    tile.fill(0);
     for (unsigned i = 0; i < op.width(); ++i) {
-      v |= static_cast<std::uint64_t>(block_.column(op.col(i)).get(row)) << i;
+      tile[i] = block_.column(op.col(i)).word(w);
     }
-    out.push_back(v);
+    transpose64(tile);  // tile[r] is now row r's value
+    for (Word rest = m; rest != 0; rest &= rest - 1) {
+      out.push_back(tile[static_cast<unsigned>(std::countr_zero(rest))]);
+    }
   }
   return out;
 }
 
 void BlockExecutor::host_broadcast(const Operand& op, std::uint64_t value) {
-  for (std::size_t row = 0; row < kBlockRows; ++row) {
-    if (!mask_.get(row)) continue;
-    for (unsigned i = 0; i < op.width(); ++i) {
-      block_.column(op.col(i)).set(row, (value >> i) & 1u);
+  for (unsigned i = 0; i < op.width(); ++i) {
+    ColumnBits& col = block_.column(op.col(i));
+    const bool bit = (value >> i) & 1u;
+    for (std::size_t w = 0; w < ColumnBits::kWords; ++w) {
+      const Word m = mask_.word(w);
+      col.set_word(w, bit ? col.word(w) | m : col.word(w) & ~m);
     }
   }
   block_.enforce_faults();

@@ -137,6 +137,15 @@ class BlockExecutor {
   /// cell events.
   void issue(const MicroOp& op);
 
+  /// Replay a compiled program through the same gate kernel as issue():
+  /// instruction i drives the rows of mask_slots[i.mask_slot]. Cycles,
+  /// micro-ops and cell events are charged in bulk from the program's
+  /// per-slot totals, cols_peak from its recorded high-water mark, and
+  /// its span markers are re-emitted on this executor's track. Stuck
+  /// faults are enforced after every instruction when the block has any.
+  /// The executor's own mask is not touched.
+  void replay(const Program& program, std::span<const RowMask> mask_slots);
+
   void set0(Col dst) { issue({GateKind::kSet0, dst, 0, 0, 0, false, false, false}); }
   void set1(Col dst) { issue({GateKind::kSet1, dst, 0, 0, 0, false, false, false}); }
   void gate1(GateKind k, Col dst, Col a, bool neg_a = false) {
@@ -174,25 +183,18 @@ class BlockExecutor {
   std::uint32_t trace_track() const noexcept { return trace_track_; }
   /// Current position on the simulated timeline.
   std::uint64_t trace_now() const noexcept { return trace_base_ + stats_.cycles; }
-  void trace_begin(std::string name, std::string cat) {
-#if CRYPTOPIM_TRACING
-    if (tracer_ != nullptr) {
-      tracer_->begin(trace_track_, std::move(name), std::move(cat),
-                     trace_now());
-    }
-#else
-    (void)name, (void)cat;
-#endif
+  /// Whether span boundaries go anywhere: to the tracer, or into the
+  /// program being recorded (as markers its replays re-emit).
+  bool tracing() const noexcept {
+    return tracer_ != nullptr || recorder_ != nullptr;
   }
-  void trace_end() {
-#if CRYPTOPIM_TRACING
-    if (tracer_ != nullptr) tracer_->end(trace_track_, trace_now());
-#endif
-  }
+  void trace_begin(std::string name, std::string cat);
+  void trace_end();
 
   // -- microcode recording (see pim/program.h) -------------------------------
   /// While set, every issued micro-op is appended to `program` under the
-  /// current record slot. Pass nullptr to stop.
+  /// current record slot, TraceScope boundaries become its span markers
+  /// and column allocations its cols_peak. Pass nullptr to stop.
   void set_recording(Program* program) noexcept { recorder_ = program; }
   void set_record_slot(std::uint8_t slot) noexcept { record_slot_ = slot; }
   std::uint8_t record_slot() const noexcept { return record_slot_; }
@@ -230,12 +232,12 @@ class BlockExecutor {
 /// RAII span on an executor's track, in cycle time:
 ///   TraceScope ts(exec, "multiply", "circuit");
 /// Compiles to nothing with CRYPTOPIM_TRACING=0 and to one branch per
-/// scope when no tracer is attached.
+/// scope when neither a tracer nor a program recorder is attached.
 class TraceScope {
  public:
 #if CRYPTOPIM_TRACING
   TraceScope(BlockExecutor& exec, std::string name, std::string cat)
-      : exec_(exec.tracer() != nullptr ? &exec : nullptr) {
+      : exec_(exec.tracing() ? &exec : nullptr) {
     if (exec_ != nullptr) exec_->trace_begin(std::move(name), std::move(cat));
   }
   ~TraceScope() {

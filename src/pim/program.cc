@@ -4,22 +4,11 @@
 
 namespace cryptopim::pim {
 
-std::uint64_t Program::cycles() const noexcept {
-  std::uint64_t c = 0;
-  for (const auto& i : instrs_) c += gate_cycles(i.op.kind);
-  return c;
-}
-
-void Program::execute(BlockExecutor& exec,
-                      std::span<const RowMask> mask_slots) const {
-  const TraceScope span(exec, "program.replay", "program");
-  const RowMask saved = exec.mask();
-  for (const auto& i : instrs_) {
-    assert(i.mask_slot < mask_slots.size());
-    exec.set_mask(mask_slots[i.mask_slot]);
-    exec.issue(i.op);
-  }
-  exec.set_mask(saved);
+void Program::append(const MicroOp& op, std::uint8_t mask_slot) {
+  assert(mask_slot < kMaskSlots);
+  instrs_.push_back(Instr{op, mask_slot});
+  cycles_ += gate_cycles(op.kind);
+  slot_cycles_[mask_slot] += gate_cycles(op.kind);
 }
 
 ProgramRecorder::ProgramRecorder(BlockExecutor& exec, Program& program,
@@ -35,7 +24,8 @@ void ProgramRecorder::set_mask_slot(std::uint8_t slot) {
   exec_.set_record_slot(slot);
 }
 
-std::size_t Controller::add_stage(std::string name, Program program) {
+std::size_t Controller::add_stage(std::string name,
+                                  std::shared_ptr<const Program> program) {
   stages_.push_back(Stage{std::move(name), std::move(program)});
   return stages_.size() - 1;
 }
@@ -46,19 +36,19 @@ void Controller::run_stage(
   const Program& prog = program(id);
   assert(banks.size() == mask_tables.size());
   for (std::size_t b = 0; b < banks.size(); ++b) {
-    prog.execute(*banks[b], mask_tables[b]);
+    banks[b]->replay(prog, mask_tables[b]);
   }
 }
 
 std::uint64_t Controller::total_instructions() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& s : stages_) n += s.program.size();
+  for (const auto& s : stages_) n += s.program->size();
   return n;
 }
 
 std::uint64_t Controller::total_rom_bits() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& s : stages_) n += s.program.rom_bits();
+  for (const auto& s : stages_) n += s.program->rom_bits();
   return n;
 }
 

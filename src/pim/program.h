@@ -8,14 +8,21 @@
 // pre-loaded data columns (twiddles).
 //
 // This module reifies that: a Program is a recorded sequence of gate
-// micro-ops annotated with a mask slot; BlockExecutor can record into a
-// Program while circuits run, and the Controller replays programs on any
-// number of blocks. Replay is bit-exact with direct execution (tested),
-// which is what makes the broadcast-SIMD execution model of the paper
-// sound.
+// micro-ops annotated with a mask slot; BlockExecutor records into a
+// Program while circuits run, and replays it (BlockExecutor::replay) on
+// any number of blocks.
+// A program is compiled once and replayed many times, so everything a
+// replay needs is precomputed at record time: per-slot cycle totals (the
+// replay charges cycles, micro-ops and cell events in bulk from the
+// slots' popcounts), the column high-water mark of the recording run,
+// and the circuit-level trace spans as cycle-offset markers. Replay is
+// bit-exact with direct execution (tested), which is what makes the
+// broadcast-SIMD execution model of the paper sound.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +32,9 @@
 
 namespace cryptopim::pim {
 
+/// Mask-table entries per bank (the instruction's 2-bit slot field).
+inline constexpr std::size_t kMaskSlots = 4;
+
 /// One controller instruction: a gate micro-op driven on the rows selected
 /// by `mask_slot` (an index into the per-bank mask table).
 struct Instr {
@@ -32,32 +42,52 @@ struct Instr {
   std::uint8_t mask_slot = 0;
 };
 
+/// A trace span boundary recorded inside a program: replay re-emits it
+/// on the replaying executor's track at `cycle` cycles into the program.
+struct SpanMark {
+  std::uint64_t cycle = 0;
+  bool begin = false;  ///< begin(name, cat) vs end of the innermost span
+  std::string name;
+  std::string cat;
+};
+
 /// A recorded stage program.
 class Program {
  public:
-  void append(const MicroOp& op, std::uint8_t mask_slot) {
-    instrs_.push_back(Instr{op, mask_slot});
+  void append(const MicroOp& op, std::uint8_t mask_slot);
+  void mark_begin(std::string name, std::string cat) {
+    marks_.push_back(SpanMark{cycles_, true, std::move(name), std::move(cat)});
+  }
+  void mark_end() { marks_.push_back(SpanMark{cycles_, false, {}, {}}); }
+  /// Column-allocator occupancy seen while recording; the maximum is
+  /// charged as cols_peak on every replay.
+  void note_cols_in_use(std::uint64_t in_use) noexcept {
+    if (in_use > cols_peak_) cols_peak_ = in_use;
   }
 
   std::size_t size() const noexcept { return instrs_.size(); }
   bool empty() const noexcept { return instrs_.empty(); }
   const std::vector<Instr>& instrs() const noexcept { return instrs_; }
+  const std::vector<SpanMark>& marks() const noexcept { return marks_; }
 
   /// Total crossbar cycles the program consumes (mask-independent).
-  std::uint64_t cycles() const noexcept;
+  std::uint64_t cycles() const noexcept { return cycles_; }
+  /// Cycles of the instructions recorded under each mask slot.
+  const std::array<std::uint64_t, kMaskSlots>& slot_cycles() const noexcept {
+    return slot_cycles_;
+  }
+  std::uint64_t cols_peak() const noexcept { return cols_peak_; }
 
   /// Encoded size in bits, as a controller-ROM estimate: opcode (4) +
   /// 3 x column id (9 for 512 columns) + polarity (3) + mask slot (2).
   std::uint64_t rom_bits() const noexcept { return instrs_.size() * 36ull; }
 
-  /// Replay on a block. `mask_slots[i]` supplies the rows driven by
-  /// instructions recorded with slot i. The executor's own mask is
-  /// saved/restored.
-  void execute(BlockExecutor& exec,
-               std::span<const RowMask> mask_slots) const;
-
  private:
   std::vector<Instr> instrs_;
+  std::vector<SpanMark> marks_;
+  std::array<std::uint64_t, kMaskSlots> slot_cycles_{};
+  std::uint64_t cycles_ = 0;
+  std::uint64_t cols_peak_ = 0;
 };
 
 /// Records every micro-op an executor issues while in scope.
@@ -85,14 +115,22 @@ class ProgramRecorder {
 
 /// The stage-program library of one accelerator configuration: per-stage
 /// microcode plus controller-level totals (the quantities one would size
-/// the synthesized controller by).
+/// the synthesized controller by). Stages that run the same microcode
+/// (every butterfly level, every scale) share one Program.
 class Controller {
  public:
   /// Register a stage program under a human-readable name; returns its id.
-  std::size_t add_stage(std::string name, Program program);
+  std::size_t add_stage(std::string name,
+                        std::shared_ptr<const Program> program);
+  std::size_t add_stage(std::string name, Program program) {
+    return add_stage(std::move(name),
+                     std::make_shared<const Program>(std::move(program)));
+  }
 
   std::size_t stage_count() const noexcept { return stages_.size(); }
-  const Program& program(std::size_t id) const { return stages_.at(id).program; }
+  const Program& program(std::size_t id) const {
+    return *stages_.at(id).program;
+  }
   const std::string& name(std::size_t id) const { return stages_.at(id).name; }
 
   /// Broadcast one stage to many blocks (the SIMD-across-banks execution
@@ -107,7 +145,7 @@ class Controller {
  private:
   struct Stage {
     std::string name;
-    Program program;
+    std::shared_ptr<const Program> program;
   };
   std::vector<Stage> stages_;
 };

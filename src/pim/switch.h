@@ -61,7 +61,10 @@ class FixedFunctionSwitch {
   /// route: active src row r lands in dst row r (+/- s). Rows that would
   /// leave [0, kBlockRows) are dropped (the NTT schedule never produces
   /// them). Charges width cycles + width*rows transfer bits to `dst_exec`
-  /// (+1 cycle when the parity column rides along).
+  /// (+1 cycle when the parity column rides along). Each bit column moves
+  /// as one shifted, masked 512-row word copy; with hooks attached,
+  /// corrupt_bit() is still drawn once per transferred bit, bit-major and
+  /// in ascending row order. `src` and `dst_exec`'s block are distinct.
   void transfer(const MemoryBlock& src, const Operand& src_op,
                 const RowMask& mask, BlockExecutor& dst_exec,
                 const Operand& dst_op, Route route) const;

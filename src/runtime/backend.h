@@ -6,12 +6,17 @@
 //  * GateLevelBackend — the golden tier. Wraps CryptoPimSimulator:
 //    every arithmetic step runs in simulated crossbars, cycle accounting
 //    is measured, optional fault injection exercises the reliability
-//    stack. Slow (~ms per multiply) but authoritative.
+//    stack. Each cached simulator compiles its stage microcode once, on
+//    its first multiply, and replays it word-parallel on every bank:
+//    ~0.4 ms per n = 256 multiply on one host core. Authoritative, and
+//    still the slowest tier by two orders of magnitude.
 //  * WordLevelBackend — functional results at host speed from the
 //    flat-word `ntt::WordNttEngine` (Shoup/Barrett precompute, lazy
-//    [0, 2q) reduction), with cycle/energy accounting attached from the
+//    [0, 2q) reduction, AVX-512/AVX2 kernels picked at runtime when the
+//    CPU has them), with cycle/energy accounting attached from the
 //    analytic model. Bit-exact vs the gate tier — proven by
-//    tests/test_backend_diff.cc — at ~10^4x the wall-clock rate.
+//    tests/test_backend_diff.cc — at >= 100x its wall-clock rate (gated
+//    by bench_backend_throughput; a few hundred x with AVX-512).
 //  * AnalyticBackend — accounting only (model/latency.h +
 //    model/performance.h); `functional()` is false and products are
 //    empty. For capacity studies where results are never inspected.

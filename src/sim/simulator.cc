@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
+#include <array>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 #include "common/bitutil.h"
@@ -13,8 +15,41 @@ namespace cryptopim::sim {
 
 namespace {
 
-// Reserved data-column layout inside every stage block.
+// Reserved data-column layout inside every stage block: own value,
+// partner value and twiddle/factor, `width` columns each from kOwnBase.
 constexpr pim::Col kOwnBase = 8;
+enum Region : unsigned { kOwn = 0, kPartner = 1, kTwiddle = 2 };
+
+pim::Operand region(const pim::BlockExecutor& e, Region r, unsigned width) {
+  return e.contiguous(static_cast<pim::Col>(kOwnBase + r * width), width);
+}
+
+pim::RowMask side_mask(std::size_t rows_used, std::uint32_t stride,
+                       bool high) {
+  pim::RowMask m;
+  for (std::size_t r = 0; r < rows_used; ++r) {
+    const bool is_high = (r & stride) != 0;
+    if (is_high == high) m.set(r, true);
+  }
+  return m;
+}
+
+// Copy a computed result into the reserved own-region columns (2 cycles
+// per bit).
+void write_own(pim::BlockExecutor& exec, const pim::Operand& own,
+               const pim::Operand& value) {
+  for (unsigned i = 0; i < own.width(); ++i) {
+    if (i < value.width()) {
+      exec.gate1(pim::GateKind::kCopy, own.col(i), value.col(i));
+    } else {
+      exec.set0(own.col(i));
+    }
+  }
+}
+
+std::string butterfly_name(std::uint32_t stride) {
+  return "butterfly/s" + std::to_string(stride);
+}
 
 }  // namespace
 
@@ -27,13 +62,13 @@ struct CryptoPimSimulator::PolyState {
   unsigned width = 0;
 
   pim::Operand own(const pim::BlockExecutor& e) const {
-    return e.contiguous(kOwnBase, width);
+    return region(e, kOwn, width);
   }
   pim::Operand partner(const pim::BlockExecutor& e) const {
-    return e.contiguous(kOwnBase + static_cast<pim::Col>(width), width);
+    return region(e, kPartner, width);
   }
   pim::Operand twiddle(const pim::BlockExecutor& e) const {
-    return e.contiguous(kOwnBase + static_cast<pim::Col>(2 * width), width);
+    return region(e, kTwiddle, width);
   }
 };
 
@@ -50,6 +85,15 @@ CryptoPimSimulator::CryptoPimSimulator(const ntt::NttParams& params,
       rows_per_bank_(std::min<std::size_t>(params.n, pim::kBlockRows)),
       width_(bit_length(params.q)) {}
 
+void CryptoPimSimulator::reserve_regions(pim::BlockExecutor& exec) const {
+  exec.reserve_region(kOwnBase, 3 * width_);
+  if (rel_ != nullptr) {
+    // Keep the repair pool out of the processing-column allocator.
+    exec.reserve_region(rel_->spare_base(),
+                        rel_->config().spare_cols_per_block);
+  }
+}
+
 std::unique_ptr<CryptoPimSimulator::PolyState>
 CryptoPimSimulator::make_state() {
   auto st = std::make_unique<PolyState>();
@@ -64,15 +108,146 @@ CryptoPimSimulator::make_state() {
     }
     bank.exec = std::make_unique<pim::BlockExecutor>(
         bank.block, pim::RowMask::first_rows(rows_per_bank_), device_);
-    bank.exec->reserve_region(kOwnBase, 3 * width_);
-    if (rel_ != nullptr) {
-      // Keep the repair pool out of the processing-column allocator.
-      bank.exec->reserve_region(rel_->spare_base(),
-                                rel_->config().spare_cols_per_block);
-    }
+    reserve_regions(*bank.exec);
   }
   ++stage_counter_;
   return st;
+}
+
+void CryptoPimSimulator::compile() {
+  // The controller compiles each stage shape once and broadcasts it to
+  // every bank of every stage of that shape. Each program is recorded on
+  // its own fresh scratch bank, so its column ids and cols_peak are those
+  // of a fresh stage bank; circuits are data-independent, and the empty
+  // row mask makes the recording run evaluate nothing.
+  auto record = [this](std::uint8_t first_slot, const auto& body) {
+    pim::MemoryBlock blk;
+    pim::BlockExecutor e(blk, pim::RowMask(), device_);
+    reserve_regions(e);
+    pim::Program prog;
+    {
+      pim::ProgramRecorder rec(e, prog, first_slot);
+      body(e, rec);
+    }
+    return std::make_shared<const pim::Program>(std::move(prog));
+  };
+
+  // Scale and pointwise: own := Montgomery(own * factor). The psi-scale
+  // factors are Montgomery-form constants; pointwise multiplies by B,
+  // which is in the Montgomery domain, so the reduction lands plain.
+  auto mont_product = [this](Region other) {
+    return [this, other](pim::BlockExecutor& e, pim::ProgramRecorder&) {
+      const pim::Operand own = region(e, kOwn, width_);
+      pim::Operand prod =
+          pim::circuits::multiply(e, own, region(e, other, width_));
+      pim::Operand red =
+          pim::circuits::montgomery_reduce(e, prod, montgomery_, true);
+      e.free(prod);
+      write_own(e, own, red);
+      e.free(red);
+    };
+  };
+  scale_prog_ = record(0, mont_product(kTwiddle));
+  pointwise_prog_ = record(0, mont_product(kPartner));
+
+  // Butterfly, mask-slot convention: 0 = all rows, 1 = high side, 2 =
+  // low side. Both phases run on every bank in lock-step, even when a
+  // bank's side is empty.
+  butterfly_prog_ = record(1, [this](pim::BlockExecutor& e,
+                                     pim::ProgramRecorder& rec) {
+    const pim::Operand own = region(e, kOwn, width_);
+    const pim::Operand partner = region(e, kPartner, width_);
+    const pim::Operand tw = region(e, kTwiddle, width_);
+    // High rows: A[j'] = Montgomery(W * (T - A[j'] + q)).
+    {
+      const pim::Operand cq = e.constant(params_.q, width_);
+      pim::Operand t = pim::circuits::add_trimmed(e, partner, cq, width_ + 1);
+      auto d = pim::circuits::sub(e, t, own, width_ + 1);
+      e.free(t);
+      e.free_col(d.no_borrow);
+      pim::Operand prod = pim::circuits::multiply(e, d.diff, tw);
+      e.free(d.diff);
+      pim::Operand red =
+          pim::circuits::montgomery_reduce(e, prod, montgomery_, true);
+      e.free(prod);
+      write_own(e, own, red);
+      e.free(red);
+    }
+    // Low rows: A[j] = Barrett(T + A[j']).
+    {
+      rec.set_mask_slot(2);
+      pim::Operand sum = pim::circuits::add(e, own, partner, width_ + 1);
+      pim::Operand red = pim::circuits::barrett_reduce(e, sum, barrett_, true);
+      e.free(sum);
+      write_own(e, own, red);
+      e.free(red);
+    }
+  });
+
+  // The stage library in pipeline order (A and B stages interleaved as
+  // multiply_attempt runs them).
+  microcode_ = pim::Controller{};
+  microcode_.add_stage("scale", scale_prog_);
+  microcode_.add_stage("scale", scale_prog_);
+  for (unsigned k = 0; k < params_.log2n; ++k) {
+    microcode_.add_stage(butterfly_name(1u << k), butterfly_prog_);
+    microcode_.add_stage(butterfly_name(1u << k), butterfly_prog_);
+  }
+  microcode_.add_stage("pointwise", pointwise_prog_);
+  for (unsigned k = params_.log2n; k-- > 0;) {
+    microcode_.add_stage(butterfly_name(1u << k), butterfly_prog_);
+  }
+  microcode_.add_stage("scale", scale_prog_);
+}
+
+void CryptoPimSimulator::build_factor_rows() {
+  const std::uint32_t n = params_.n;
+  const std::uint32_t q = params_.q;
+  const unsigned bits = params_.log2n;
+
+  // psi-scale. A stays plain: factor = psi^i * R (Montgomery-form
+  // constant). B enters the Montgomery domain: factor = psi^i * R^2. The
+  // final scale is n^{-1} psi^{-i}, addressed through the output
+  // permutation: row r holds element bitrev(r).
+  const auto R_mod_q = static_cast<std::uint32_t>(montgomery_.R() % q);
+  rows_.scale_a.resize(n);
+  rows_.scale_b.resize(n);
+  rows_.scale_out.resize(n);
+  for (std::uint32_t g = 0; g < n; ++g) {
+    const std::uint64_t i = bit_reverse(g, bits);
+    const std::uint32_t psi_i = montgomery_.to_mont(engine_.psi_powers()[i]);
+    rows_.scale_a[g] = psi_i;
+    rows_.scale_b[g] = ntt::mul_mod(psi_i, R_mod_q, q);
+    rows_.scale_out[g] = montgomery_.to_mont(engine_.psi_inv_scaled()[i]);
+  }
+
+  // omega^{-e} for every exponent the inverse schedule uses (< n/2).
+  std::vector<std::uint32_t> omega_inv_pow(n / 2);
+  std::uint32_t pw = 1;
+  for (auto& x : omega_inv_pow) {
+    x = pw;
+    pw = ntt::mul_mod(pw, params_.omega_inv, q);
+  }
+
+  rows_.forward.assign(bits, std::vector<std::uint64_t>(n, 0));
+  rows_.inverse.assign(bits, std::vector<std::uint64_t>(n, 0));
+  for (unsigned k = 0; k < bits; ++k) {
+    const std::uint32_t stride = 1u << k;
+    const std::uint32_t step = n / (2 * stride);
+    for (std::uint32_t g = 0; g < n; ++g) {
+      if ((g & stride) == 0) continue;  // low rows carry no twiddle
+      const std::uint32_t j = g - stride;
+      // Algorithm 2: the butterfly writing row j' = j + 2^k multiplies by
+      // twiddle[j >> (k+1)] from the bit-reversed table.
+      rows_.forward[k][g] =
+          montgomery_.to_mont(engine_.forward_twiddles()[j >> (k + 1)]);
+      // Conjugate (decreasing-stride) schedule: classic Gentleman–Sande
+      // with w^{-1}; the butterfly at (j, j+len) uses exponent
+      // (j mod len)*n/(2len).
+      rows_.inverse[k][g] =
+          montgomery_.to_mont(omega_inv_pow[(j & (stride - 1)) * step]);
+    }
+  }
 }
 
 pim::FixedFunctionSwitch CryptoPimSimulator::make_switch(
@@ -144,17 +319,7 @@ void CryptoPimSimulator::accumulate(PolyState& st,
   report_.stages += 1;
 }
 
-void CryptoPimSimulator::record_stage_program(std::string name,
-                                              pim::Program& program) {
-  // Stages that run on B's softbank re-use programs already in the
-  // library; only register microcode compiled on the wall path (A) plus
-  // the shared scale/butterfly shapes once.
-  microcode_.add_stage(std::move(name), std::move(program));
-}
-
-void CryptoPimSimulator::load_input(
-    PolyState& st, const ntt::Poly& p,
-    const std::vector<std::uint32_t>& /*unused*/) const {
+void CryptoPimSimulator::load_input(PolyState& st, const ntt::Poly& p) const {
   // Bit-reversal happens at write time: coefficient i lands in global row
   // bitrev(i) ("changing the row to which a value is written").
   const unsigned bits = params_.log2n;
@@ -169,90 +334,48 @@ void CryptoPimSimulator::load_input(
   }
 }
 
-namespace {
-
-pim::RowMask side_mask(std::size_t rows_used, std::uint32_t stride,
-                       bool high) {
-  pim::RowMask m;
-  for (std::size_t r = 0; r < rows_used; ++r) {
-    const bool is_high = (r & stride) != 0;
-    if (is_high == high) m.set(r, true);
-  }
-  return m;
-}
-
-// Copy a computed result into the reserved own-region columns (2 cycles
-// per bit) under the executor's current mask.
-void write_own(pim::BlockExecutor& exec, const pim::Operand& own,
-               const pim::Operand& value) {
-  for (unsigned i = 0; i < own.width(); ++i) {
-    if (i < value.width()) {
-      exec.gate1(pim::GateKind::kCopy, own.col(i), value.col(i));
-    } else {
-      exec.set0(own.col(i));
-    }
-  }
-}
-
-}  // namespace
-
 void CryptoPimSimulator::stage_scale(
-    std::unique_ptr<PolyState>& st, bool /*montgomery_domain*/,
-    const std::vector<std::uint32_t>& factors_by_row) {
+    std::unique_ptr<PolyState>& st,
+    const std::vector<std::uint64_t>& factors_by_row) {
   auto next = make_state();
   attach_obs(*next);
   const pim::FixedFunctionSwitch sw = make_switch(0);
-
-  // The controller compiles the stage microcode once (while bank 0
-  // executes it) and broadcasts it to the remaining banks.
-  pim::Program program;
-  const std::vector<pim::RowMask> slots = {
+  const std::array<pim::RowMask, 1> slots = {
       pim::RowMask::first_rows(rows_per_bank_)};
-
   for (unsigned b = 0; b < banks_; ++b) {
     auto& src = st->banks[b];
-    auto& dst = next->banks[b];
-    sw.transfer(src.block, st->own(*src.exec), src.exec->mask(), *dst.exec,
-                next->own(*dst.exec), pim::FixedFunctionSwitch::Route::kStraight);
-
+    auto& e = *next->banks[b].exec;
+    sw.transfer(src.block, st->own(*src.exec), src.exec->mask(), e,
+                next->own(e), pim::FixedFunctionSwitch::Route::kStraight);
     // Pre-computed factors live in the block's data columns.
-    std::vector<std::uint64_t> factors(rows_per_bank_);
-    for (std::size_t r = 0; r < rows_per_bank_; ++r) {
-      factors[r] = factors_by_row[b * pim::kBlockRows + r];
-    }
-    dst.exec->host_write(next->twiddle(*dst.exec), factors);
-
-    auto& e = *dst.exec;
-    if (b == 0) {
-      const pim::ProgramRecorder rec(e, program, 0);
-      const pim::Operand own = next->own(e);
-      const pim::Operand tw = next->twiddle(e);
-      pim::Operand prod = pim::circuits::multiply(e, own, tw);
-      pim::Operand red =
-          pim::circuits::montgomery_reduce(e, prod, montgomery_, true);
-      e.free(prod);
-      write_own(e, own, red);
-      e.free(red);
-    } else {
-      program.execute(e, slots);
-    }
+    e.host_write(next->twiddle(e),
+                 std::span(factors_by_row)
+                     .subspan(b * pim::kBlockRows, rows_per_bank_));
+    e.replay(*scale_prog_, slots);
   }
-  record_stage_program("scale", program);
   accumulate(*next, "scale");
   st = std::move(next);
 }
 
 void CryptoPimSimulator::stage_butterfly(
     std::unique_ptr<PolyState>& st, std::uint32_t stride,
-    const std::vector<std::uint32_t>& twiddle_by_high_row) {
+    const std::vector<std::uint64_t>& twiddle_by_high_row) {
   auto next = make_state();
   attach_obs(*next);
 
+  // Mask-slot table (see compile()): 0 = all rows, 1 = high side, 2 =
+  // low side.
+  const pim::RowMask all = pim::RowMask::first_rows(rows_per_bank_);
+  std::array<pim::RowMask, 3> slots = {all, pim::RowMask(), pim::RowMask()};
+
   // --- transfers through the fixed-function switches -----------------------
-  if (stride < rows_per_bank_) {
+  const bool in_bank = stride < rows_per_bank_;
+  const unsigned ds =
+      in_bank ? 0u : stride / static_cast<unsigned>(rows_per_bank_);
+  if (in_bank) {
     const pim::FixedFunctionSwitch sw = make_switch(stride);
-    const pim::RowMask low = side_mask(rows_per_bank_, stride, false);
-    const pim::RowMask high = side_mask(rows_per_bank_, stride, true);
+    slots[1] = side_mask(rows_per_bank_, stride, true);
+    slots[2] = side_mask(rows_per_bank_, stride, false);
     for (unsigned b = 0; b < banks_; ++b) {
       auto& src = st->banks[b];
       auto& dst = next->banks[b];
@@ -260,10 +383,10 @@ void CryptoPimSimulator::stage_butterfly(
                   next->own(*dst.exec),
                   pim::FixedFunctionSwitch::Route::kStraight);
       // Low rows feed their +s neighbours; high rows feed -s.
-      sw.transfer(src.block, st->own(*src.exec), low, *dst.exec,
+      sw.transfer(src.block, st->own(*src.exec), slots[2], *dst.exec,
                   next->partner(*dst.exec),
                   pim::FixedFunctionSwitch::Route::kPlusS);
-      sw.transfer(src.block, st->own(*src.exec), high, *dst.exec,
+      sw.transfer(src.block, st->own(*src.exec), slots[1], *dst.exec,
                   next->partner(*dst.exec),
                   pim::FixedFunctionSwitch::Route::kMinusS);
     }
@@ -271,7 +394,6 @@ void CryptoPimSimulator::stage_butterfly(
     // Stride crosses banks: the partner sits in the paired bank at the
     // same row; inter-bank switches provide the straight connection.
     const pim::FixedFunctionSwitch sw = make_switch(0);
-    const unsigned ds = stride / static_cast<unsigned>(rows_per_bank_);
     for (unsigned b = 0; b < banks_; ++b) {
       auto& dst = next->banks[b];
       auto& src_own = st->banks[b];
@@ -287,84 +409,23 @@ void CryptoPimSimulator::stage_butterfly(
   }
 
   // --- compute --------------------------------------------------------------
-  // Mask-slot convention: 0 = all rows, 1 = high side, 2 = low side. The
-  // stage microcode is identical for every bank (recorded once on bank 0,
-  // broadcast to the rest, lock-step); the per-bank mask table selects
-  // which rows each phase drives.
-  const std::uint32_t q = params_.q;
-  pim::Program program;
+  // The stage microcode is identical for every bank (lock-step); the
+  // per-bank mask table selects which rows each phase drives.
   for (unsigned b = 0; b < banks_; ++b) {
-    auto& dst = next->banks[b];
-    auto& e = *dst.exec;
-
-    pim::RowMask low_mask, high_mask;
-    if (stride < rows_per_bank_) {
-      low_mask = side_mask(rows_per_bank_, stride, false);
-      high_mask = side_mask(rows_per_bank_, stride, true);
-    } else {
-      const unsigned ds = stride / static_cast<unsigned>(rows_per_bank_);
+    auto& e = *next->banks[b].exec;
+    if (!in_bank) {
       const bool bank_is_high = (b & ds) != 0;
-      low_mask = bank_is_high ? pim::RowMask()
-                              : pim::RowMask::first_rows(rows_per_bank_);
-      high_mask = bank_is_high ? pim::RowMask::first_rows(rows_per_bank_)
-                               : pim::RowMask();
+      slots[1] = bank_is_high ? all : pim::RowMask();
+      slots[2] = bank_is_high ? pim::RowMask() : all;
     }
-    const std::vector<pim::RowMask> slots = {
-        pim::RowMask::first_rows(rows_per_bank_), high_mask, low_mask};
-
     // Twiddles for the high rows (pre-computed factors, Montgomery form).
-    std::vector<std::uint64_t> tw_rows(rows_per_bank_, 0);
-    for (std::size_t r = 0; r < rows_per_bank_; ++r) {
-      tw_rows[r] = twiddle_by_high_row[b * pim::kBlockRows + r];
-    }
-    e.host_write(next->twiddle(e), tw_rows);
-
-    if (b > 0) {
-      program.execute(e, slots);
-      continue;
-    }
-
-    const pim::Operand own = next->own(e);
-    const pim::Operand partner = next->partner(e);
-    const pim::Operand tw = next->twiddle(e);
-    pim::ProgramRecorder rec(e, program, 1);
-
-    // High rows: A[j'] = Montgomery(W * (T - A[j'] + q)). Recorded and
-    // executed even when this bank's high side is empty — all banks run
-    // the broadcast program in lock-step.
-    {
-      e.set_mask(high_mask);
-      const pim::Operand cq = e.constant(q, width_);
-      pim::Operand t =
-          pim::circuits::add_trimmed(e, partner, cq, width_ + 1);
-      auto d = pim::circuits::sub(e, t, own, width_ + 1);
-      e.free(t);
-      e.free_col(d.no_borrow);
-      pim::Operand prod = pim::circuits::multiply(e, d.diff, tw);
-      e.free(d.diff);
-      pim::Operand red =
-          pim::circuits::montgomery_reduce(e, prod, montgomery_, true);
-      e.free(prod);
-      write_own(e, own, red);
-      e.free(red);
-    }
-
-    // Low rows: A[j] = Barrett(T + A[j']).
-    {
-      rec.set_mask_slot(2);
-      e.set_mask(low_mask);
-      pim::Operand sum = pim::circuits::add(e, own, partner, width_ + 1);
-      pim::Operand red = pim::circuits::barrett_reduce(e, sum, barrett_, true);
-      e.free(sum);
-      write_own(e, own, red);
-      e.free(red);
-    }
-    e.set_mask(pim::RowMask::first_rows(rows_per_bank_));
+    e.host_write(next->twiddle(e),
+                 std::span(twiddle_by_high_row)
+                     .subspan(b * pim::kBlockRows, rows_per_bank_));
+    e.replay(*butterfly_prog_, slots);
   }
 
-  const std::string stage_name = "butterfly/s" + std::to_string(stride);
-  record_stage_program(stage_name, program);
-  accumulate(*next, stage_name);
+  accumulate(*next, butterfly_name(stride));
   st = std::move(next);
 }
 
@@ -373,110 +434,45 @@ void CryptoPimSimulator::stage_pointwise(std::unique_ptr<PolyState>& a,
   auto next = make_state();
   attach_obs(*next);
   const pim::FixedFunctionSwitch sw = make_switch(0);
-  pim::Program program;
-  const std::vector<pim::RowMask> slots = {
+  const std::array<pim::RowMask, 1> slots = {
       pim::RowMask::first_rows(rows_per_bank_)};
   for (unsigned k = 0; k < banks_; ++k) {
-    auto& dst = next->banks[k];
+    auto& e = *next->banks[k].exec;
     sw.transfer(a->banks[k].block, a->own(*a->banks[k].exec),
-                a->banks[k].exec->mask(), *dst.exec, next->own(*dst.exec),
+                a->banks[k].exec->mask(), e, next->own(e),
                 pim::FixedFunctionSwitch::Route::kStraight);
     // B arrives through the inter-softbank switch.
     sw.transfer(b->banks[k].block, b->own(*b->banks[k].exec),
-                b->banks[k].exec->mask(), *dst.exec, next->partner(*dst.exec),
+                b->banks[k].exec->mask(), e, next->partner(e),
                 pim::FixedFunctionSwitch::Route::kStraight);
-
-    auto& e = *dst.exec;
-    if (k > 0) {
-      program.execute(e, slots);
-      continue;
-    }
-    const pim::ProgramRecorder rec(e, program, 0);
-    const pim::Operand own = next->own(e);
-    const pim::Operand partner = next->partner(e);
-    // B is in the Montgomery domain, so this reduction lands plain.
-    pim::Operand prod = pim::circuits::multiply(e, own, partner);
-    pim::Operand red =
-        pim::circuits::montgomery_reduce(e, prod, montgomery_, true);
-    e.free(prod);
-    write_own(e, own, red);
-    e.free(red);
+    e.replay(*pointwise_prog_, slots);
   }
-  record_stage_program("pointwise", program);
   accumulate(*next, "pointwise");
   a = std::move(next);
   b.reset();
 }
 
-std::vector<std::uint32_t> CryptoPimSimulator::forward_twiddles_by_row(
-    std::uint32_t stride) const {
-  // Algorithm 2: the butterfly writing row j' = j + 2^k multiplies by
-  // twiddle[j >> (k+1)] from the bit-reversed table.
-  const unsigned k = ilog2(stride);
-  std::vector<std::uint32_t> tw(params_.n, 0);
-  for (std::uint32_t g = 0; g < params_.n; ++g) {
-    if ((g & stride) == 0) continue;  // low row
-    const std::uint32_t j = g - stride;
-    const std::uint32_t w = engine_.forward_twiddles()[j >> (k + 1)];
-    tw[g] = montgomery_.to_mont(w);
-  }
-  return tw;
-}
-
-std::vector<std::uint32_t> CryptoPimSimulator::inverse_twiddles_by_row(
-    std::uint32_t stride) const {
-  // Conjugate (decreasing-stride) schedule: classic Gentleman–Sande with
-  // w^{-1}; the butterfly at (j, j+len) uses exponent (j mod len)*n/(2len).
-  std::vector<std::uint32_t> tw(params_.n, 0);
-  const std::uint32_t step = params_.n / (2 * stride);
-  for (std::uint32_t g = 0; g < params_.n; ++g) {
-    if ((g & stride) == 0) continue;
-    const std::uint32_t j = g - stride;
-    const std::uint32_t e = (j & (stride - 1)) * step;
-    tw[g] = montgomery_.to_mont(
-        ntt::pow_mod(params_.omega_inv, e, params_.q));
-  }
-  return tw;
-}
-
 ntt::Poly CryptoPimSimulator::multiply_attempt(const ntt::Poly& a,
                                                const ntt::Poly& b) {
   report_ = SimReport{};
-  microcode_ = pim::Controller{};
   stage_counter_ = 0;
-
-  const std::uint32_t n = params_.n;
-  const std::uint32_t q = params_.q;
   const unsigned bits = params_.log2n;
 
   auto A = make_state();
   auto B = make_state();
-  load_input(*A, a, {});
-  load_input(*B, b, {});
+  load_input(*A, a);
+  load_input(*B, b);
 
-  // psi-scale. A stays plain: factor = psi^i * R (Montgomery-form
-  // constant). B enters the Montgomery domain: factor = psi^i * R^2.
-  const std::uint64_t R_mod_q = montgomery_.R() % q;
-  std::vector<std::uint32_t> fa(n), fb(n);
-  for (std::uint32_t g = 0; g < n; ++g) {
-    const std::uint64_t i = bit_reverse(g, bits);
-    const std::uint32_t psi_i = engine_.psi_powers()[i];
-    fa[g] = montgomery_.to_mont(psi_i);
-    fb[g] = ntt::mul_mod(montgomery_.to_mont(psi_i),
-                         static_cast<std::uint32_t>(R_mod_q), q);
-  }
-  stage_scale(A, false, fa);
+  stage_scale(A, rows_.scale_a);
   wall_enabled_ = false;
-  stage_scale(B, true, fb);
+  stage_scale(B, rows_.scale_b);
   wall_enabled_ = true;
 
   // Forward NTT, strides 1 .. n/2 (bit-reversed input loaded above).
   for (unsigned k = 0; k < bits; ++k) {
-    const std::uint32_t stride = 1u << k;
-    const auto tw = forward_twiddles_by_row(stride);
-    stage_butterfly(A, stride, tw);
+    stage_butterfly(A, 1u << k, rows_.forward[k]);
     wall_enabled_ = false;
-    stage_butterfly(B, stride, tw);
+    stage_butterfly(B, 1u << k, rows_.forward[k]);
     wall_enabled_ = true;
   }
 
@@ -485,21 +481,13 @@ ntt::Poly CryptoPimSimulator::multiply_attempt(const ntt::Poly& a,
   // Inverse NTT, strides n/2 .. 1 (conjugate schedule, no mid-pipeline
   // bit-reversal).
   for (unsigned k = bits; k-- > 0;) {
-    const std::uint32_t stride = 1u << k;
-    stage_butterfly(A, stride, inverse_twiddles_by_row(stride));
+    stage_butterfly(A, 1u << k, rows_.inverse[k]);
   }
 
-  // Final scale by n^{-1} psi^{-i}, addressed through the output
-  // permutation: row r holds element bitrev(r).
-  std::vector<std::uint32_t> fc(n);
-  for (std::uint32_t g = 0; g < n; ++g) {
-    const std::uint64_t i = bit_reverse(g, bits);
-    fc[g] = montgomery_.to_mont(engine_.psi_inv_scaled()[i]);
-  }
-  stage_scale(A, false, fc);
+  stage_scale(A, rows_.scale_out);
 
   // Read out: the bit-reversal at read is a host-side permutation.
-  ntt::Poly c(n, 0);
+  ntt::Poly c(params_.n, 0);
   for (unsigned bnk = 0; bnk < banks_; ++bnk) {
     const auto vals =
         A->banks[bnk].exec->host_read(A->own(*A->banks[bnk].exec));
@@ -526,6 +514,8 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
   for (const auto c : b) {
     if (c >= params_.q) throw std::invalid_argument("coefficient >= q");
   }
+  if (rows_.scale_a.empty()) build_factor_rows();
+  if (scale_prog_ == nullptr) compile();
 
   active_metrics_ =
       custom_metrics_ != nullptr ? custom_metrics_ : &obs::metrics();

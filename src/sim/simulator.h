@@ -75,8 +75,10 @@ class CryptoPimSimulator {
   /// Measurements of the most recent multiply() call.
   const SimReport& report() const noexcept { return report_; }
 
-  /// The stage-microcode library compiled during the most recent
-  /// multiply(): one broadcast program per stage (controller view).
+  /// The stage-microcode library: one broadcast program per stage
+  /// (controller view). Compiled on the first multiply() (and again on
+  /// the first multiply() after set_reliability()); empty before that.
+  /// Stages of the same shape share one Program.
   const pim::Controller& microcode() const noexcept { return microcode_; }
 
   const ntt::NttParams& params() const noexcept { return params_; }
@@ -102,9 +104,12 @@ class CryptoPimSimulator {
   // (column/bank remap). multiply() then either returns a verified
   // result or throws reliability::UnrecoverableFault (chip must
   // degrade). Non-owning; nullptr (the default) keeps the exact
-  // reliability-free execution and cycle accounting.
+  // reliability-free execution and cycle accounting. The manager's spare
+  // columns change the column allocator, so the stage microcode is
+  // recompiled on the next multiply().
   void set_reliability(reliability::ReliabilityManager* rm) noexcept {
     rel_ = rm;
+    scale_prog_.reset();
   }
   reliability::ReliabilityManager* reliability_manager() const noexcept {
     return rel_;
@@ -116,29 +121,35 @@ class CryptoPimSimulator {
   /// One full non-pipelined multiplication (one attempt). Fills report_.
   ntt::Poly multiply_attempt(const ntt::Poly& a, const ntt::Poly& b);
 
-  std::unique_ptr<PolyState> make_state();
-  pim::FixedFunctionSwitch make_switch(unsigned stride) const;
-  void load_input(PolyState& st, const ntt::Poly& p,
-                  const std::vector<std::uint32_t>& scale_factors) const;
+  /// Records the scale, butterfly and pointwise programs on a scratch
+  /// bank laid out like a fresh stage bank, and registers them under
+  /// every stage of the schedule in microcode_.
+  void compile();
+  /// Builds the per-row factor and twiddle tables (once per simulator).
+  void build_factor_rows();
 
-  // Stage programs. Each consumes `cur`, produces a fresh stage array and
-  // accumulates stats into report_.
-  void stage_scale(std::unique_ptr<PolyState>& st, bool montgomery_domain,
-                   const std::vector<std::uint32_t>& factors_by_row);
+  std::unique_ptr<PolyState> make_state();
+  /// Pins the stage data regions (and the reliability spare pool) out of
+  /// a fresh bank executor's column allocator.
+  void reserve_regions(pim::BlockExecutor& exec) const;
+  pim::FixedFunctionSwitch make_switch(unsigned stride) const;
+  void load_input(PolyState& st, const ntt::Poly& p) const;
+
+  // Stage drivers. Each consumes `cur`, produces a fresh stage array,
+  // replays the stage's compiled program on every bank and accumulates
+  // stats into report_.
+  void stage_scale(std::unique_ptr<PolyState>& st,
+                   const std::vector<std::uint64_t>& factors_by_row);
   void stage_butterfly(std::unique_ptr<PolyState>& st, std::uint32_t stride,
-                       const std::vector<std::uint32_t>& twiddle_by_high_row);
+                       const std::vector<std::uint64_t>& twiddle_by_high_row);
   void stage_pointwise(std::unique_ptr<PolyState>& a,
                        std::unique_ptr<PolyState>& b);
-
-  std::vector<std::uint32_t> forward_twiddles_by_row(std::uint32_t stride) const;
-  std::vector<std::uint32_t> inverse_twiddles_by_row(std::uint32_t stride) const;
 
   /// Attaches tracer/track/base-cycle to a freshly made stage state
   /// (track block depends on whether we are on the wall (A) or softbank
   /// (B) path).
   void attach_obs(PolyState& st) const;
   void accumulate(PolyState& st, const std::string& stage_name);
-  void record_stage_program(std::string name, pim::Program& program);
 
   ntt::NttParams params_;
   pim::DeviceModel device_;
@@ -154,7 +165,20 @@ class CryptoPimSimulator {
   /// index the fault model keys endurance failures on.
   unsigned stage_counter_ = 0;
   SimReport report_;
+  // Compiled stage microcode (null until compiled): every stage of a
+  // shape replays the same program, and microcode_ shares them.
+  std::shared_ptr<const pim::Program> scale_prog_, butterfly_prog_,
+      pointwise_prog_;
   pim::Controller microcode_;
+  // Per-row constants each stage writes into its twiddle columns:
+  // psi-scale factors for A (plain) and B (entering the Montgomery
+  // domain), the final n^{-1} psi^{-i} scale, and the forward/inverse
+  // twiddles of every butterfly level (index log2(stride)).
+  struct FactorRows {
+    std::vector<std::uint64_t> scale_a, scale_b, scale_out;
+    std::vector<std::vector<std::uint64_t>> forward, inverse;
+  };
+  FactorRows rows_;
   obs::Tracer* custom_tracer_ = nullptr;
   obs::MetricsRegistry* custom_metrics_ = nullptr;
   // Resolved per multiply(): nullptr when tracing is off for the run.

@@ -652,6 +652,50 @@ TEST(TraceIntegration, PipelineSpansSumToWallCycles) {
   EXPECT_GT(reg.counters().at("cryptopim.exec.cycles").value(), 0u);
 }
 
+TEST(TraceIntegration, SecondMultiplyStillTracesCircuits) {
+  // The stage programs are compiled on the first multiply; later
+  // multiplies replay them and must still emit the circuit spans (carried
+  // in the compiled programs) and a pipeline track that sums to the wall
+  // — the same timeline as the first multiply.
+  const auto p = ntt::NttParams::for_degree(256);
+  sim::CryptoPimSimulator simu(p);
+  Tracer local;
+  local.set_enabled(true);
+  MetricsRegistry reg;
+  simu.set_tracer(&local);
+  simu.set_metrics(&reg);
+  Xoshiro256 rng(12);
+  const auto a = ntt::sample_uniform(p.n, p.q, rng);
+  const auto b = ntt::sample_uniform(p.n, p.q, rng);
+  simu.multiply(a, b);
+  const std::vector<TraceEvent> first = local.events();
+  local.clear();
+  simu.multiply(a, b);
+  const auto& rep = simu.report();
+
+  std::uint64_t pipeline_sum = 0;
+  bool saw_circuit = false, saw_reduce = false;
+  for (const auto& e : local.events()) {
+    if (e.track == sim::CryptoPimSimulator::kPipelineTrack) {
+      pipeline_sum += e.dur;
+    }
+    saw_circuit |= e.cat == "circuit";
+    saw_reduce |= e.cat == "reduce";
+  }
+  EXPECT_EQ(pipeline_sum, rep.wall_cycles);
+  EXPECT_TRUE(saw_circuit);
+  EXPECT_TRUE(saw_reduce);
+
+  ASSERT_EQ(local.events().size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const TraceEvent& x = first[i];
+    const TraceEvent& y = local.events()[i];
+    ASSERT_TRUE(x.name == y.name && x.cat == y.cat && x.track == y.track &&
+                x.begin == y.begin && x.dur == y.dur)
+        << "event " << i << ": " << x.name << " vs " << y.name;
+  }
+}
+
 TEST(TraceIntegration, DisabledCustomTracerStaysEmpty) {
   const auto p = ntt::NttParams::for_degree(64);
   sim::CryptoPimSimulator simu(p);

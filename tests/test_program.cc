@@ -68,7 +68,7 @@ TEST(Program, ReplayIsBitExactOnAnotherBlock) {
   e1.host_write(e1.contiguous(8, 16), vals_a);
   e1.host_write(e1.contiguous(24, 16), vals_b);
   const std::vector<RowMask> slots = {RowMask::all()};
-  prog.execute(e1, slots);
+  e1.replay(prog, slots);
 
   const auto out = e1.host_read(result_cols);
   for (std::size_t r = 0; r < kBlockRows; ++r) {
@@ -91,7 +91,7 @@ TEST(Program, ReplayChargesSameCycles) {
   const auto recorded_cycles = prog.cycles();
   e1.reset_stats();
   const std::vector<RowMask> slots = {RowMask::all()};
-  prog.execute(e1, slots);
+  e1.replay(prog, slots);
   EXPECT_EQ(e1.stats().cycles, recorded_cycles);
 }
 
@@ -120,7 +120,7 @@ TEST(Program, MaskSlotsSelectRowsAtReplay) {
   for (std::size_t r = 0; r < 4; ++r) low.set(r, true);
   for (std::size_t r = 4; r < 8; ++r) high.set(r, true);
   const std::vector<RowMask> slots = {RowMask::first_rows(8), low, high};
-  prog.execute(exec, slots);
+  exec.replay(prog, slots);
   for (std::size_t r = 0; r < 4; ++r) EXPECT_TRUE(blk.column(dst).get(r));
   for (std::size_t r = 4; r < 8; ++r) EXPECT_FALSE(blk.column(dst).get(r));
 }

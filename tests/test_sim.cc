@@ -169,5 +169,61 @@ TEST(Sim, StageCyclesSumToWallCycles) {
   }
 }
 
+// Stage microcode is compiled on the first multiply and replayed on
+// every later one: a simulator's 1st and 5th multiply must be
+// indistinguishable from a fresh simulator's, down to every report field
+// and the microcode library.
+void expect_same_report(const SimReport& got, const SimReport& want,
+                        const char* which) {
+  EXPECT_EQ(got.wall_cycles, want.wall_cycles) << which;
+  EXPECT_EQ(got.stages, want.stages) << which;
+  EXPECT_EQ(got.stage_cycles, want.stage_cycles) << which;
+  EXPECT_EQ(got.stage_names, want.stage_names) << which;
+  EXPECT_EQ(got.totals.cycles, want.totals.cycles) << which;
+  EXPECT_EQ(got.totals.micro_ops, want.totals.micro_ops) << which;
+  EXPECT_EQ(got.totals.cell_events, want.totals.cell_events) << which;
+  EXPECT_EQ(got.totals.transfer_bits, want.totals.transfer_bits) << which;
+  EXPECT_EQ(got.totals.cols_peak, want.totals.cols_peak) << which;
+  EXPECT_EQ(got.latency_us, want.latency_us) << which;
+  EXPECT_EQ(got.energy_uj, want.energy_uj) << which;
+}
+
+class SimReplay : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(SimReplay, RepeatedMultipliesMatchAFreshSimulator) {
+  const std::uint32_t n = GetParam();
+  const auto p = ntt::NttParams::for_degree(n);
+  Xoshiro256 rng(n * 13 + 1);
+  const auto a = ntt::sample_uniform(n, p.q, rng);
+  const auto b = ntt::sample_uniform(n, p.q, rng);
+
+  CryptoPimSimulator fresh(p);
+  const auto want = fresh.multiply(a, b);
+  const SimReport want_rep = fresh.report();
+  ASSERT_EQ(want, ntt::GsNttEngine(p).negacyclic_multiply(a, b));
+
+  CryptoPimSimulator warm(p);
+  EXPECT_EQ(warm.multiply(a, b), want) << "1st multiply";
+  expect_same_report(warm.report(), want_rep, "1st multiply");
+  for (int i = 0; i < 3; ++i) {  // different data through the same programs
+    (void)warm.multiply(ntt::sample_uniform(n, p.q, rng),
+                        ntt::sample_uniform(n, p.q, rng));
+  }
+  EXPECT_EQ(warm.multiply(a, b), want) << "5th multiply";
+  expect_same_report(warm.report(), want_rep, "5th multiply");
+
+  const pim::Controller& mc = warm.microcode();
+  ASSERT_EQ(mc.stage_count(), fresh.microcode().stage_count());
+  EXPECT_EQ(mc.stage_count(), want_rep.stages);
+  for (std::size_t i = 0; i < mc.stage_count(); ++i) {
+    EXPECT_EQ(mc.name(i), fresh.microcode().name(i)) << "stage " << i;
+    EXPECT_EQ(mc.program(i).size(), fresh.microcode().program(i).size())
+        << "stage " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Degrees, SimReplay,
+                         ::testing::Values(8u, 64u, 256u, 1024u, 2048u));
+
 }  // namespace
 }  // namespace cryptopim::sim

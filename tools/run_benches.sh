@@ -71,9 +71,9 @@ for b in $benches; do
   # rest of the sweep so one regression doesn't hide another.
   rc=0
   if [ "$b" = bench_cpu_ntt ] && [ "${CRYPTOPIM_BENCH_FAST:-1}" = 1 ]; then
-    "$bin" --benchmark_min_time=0.01 > /dev/null || rc=$?
+    "$bin" --json --benchmark_min_time=0.01 > /dev/null || rc=$?
   else
-    "$bin" > /dev/null || rc=$?
+    "$bin" --json > /dev/null || rc=$?
   fi
   if [ $rc -ne 0 ]; then
     echo "run_benches: $b exited with $rc" >&2
