@@ -34,15 +34,9 @@ class Xoshiro256 {
     return result;
   }
 
-  /// Uniform value in [0, bound). Precondition bound > 0.
-  std::uint64_t next_below(std::uint64_t bound) noexcept {
-    // Rejection-free is fine here: bias is negligible for our bounds
-    // (all < 2^32) but we reject to keep tests distribution-clean.
-    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
-    std::uint64_t v = next();
-    while (v >= limit) v = next();
-    return v % bound;
-  }
+  /// Uniform value in [0, bound). Precondition bound > 0. Drawing many
+  /// values below one bound? BoundedUniform does the division once.
+  std::uint64_t next_below(std::uint64_t bound) noexcept;
 
   /// Uniform value with exactly `bits` significant bits available
   /// (i.e. in [0, 2^bits)).
@@ -70,5 +64,43 @@ class Xoshiro256 {
 
   std::uint64_t state_[4]{};
 };
+
+/// Uniform draws in [0, bound) with the bound's one division done up
+/// front: the rejection limit and the reciprocal mu = floor((2^64-1) /
+/// bound). Same values, same stream as Xoshiro256::next_below(bound).
+class BoundedUniform {
+ public:
+  /// Precondition bound > 0.
+  explicit BoundedUniform(std::uint64_t bound) noexcept
+      : bound_(bound), mu_(~std::uint64_t{0} / bound), limit_(mu_ * bound) {}
+
+  std::uint64_t operator()(Xoshiro256& rng) const noexcept {
+    // Reject the top 2^64 mod bound values so every residue is equally
+    // likely (the bias would be negligible for our bounds, all < 2^32,
+    // but tests stay distribution-clean).
+    std::uint64_t v = rng.next();
+    while (v >= limit_) v = rng.next();
+    return mod(v);
+  }
+
+  /// v % bound, exact for every v: mu >= 2^64/bound - 1 puts the
+  /// estimated quotient floor(v * mu / 2^64) at the true one or one
+  /// below, so one conditional subtraction finishes.
+  std::uint64_t mod(std::uint64_t v) const noexcept {
+    const auto q = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(v) * mu_) >> 64);
+    const std::uint64_t r = v - q * bound_;
+    return r >= bound_ ? r - bound_ : r;
+  }
+
+ private:
+  std::uint64_t bound_;
+  std::uint64_t mu_;
+  std::uint64_t limit_;  ///< bound * mu = 2^64 - 1 - (2^64 - 1) mod bound
+};
+
+inline std::uint64_t Xoshiro256::next_below(std::uint64_t bound) noexcept {
+  return BoundedUniform(bound)(*this);
+}
 
 }  // namespace cryptopim

@@ -45,7 +45,8 @@ Poly poly_sub(std::span<const std::uint32_t> a,
 
 Poly sample_uniform(std::uint32_t n, std::uint32_t q, Xoshiro256& rng) {
   Poly p(n);
-  for (auto& c : p) c = static_cast<std::uint32_t>(rng.next_below(q));
+  const BoundedUniform below_q(q);
+  for (auto& c : p) c = static_cast<std::uint32_t>(below_q(rng));
   return p;
 }
 

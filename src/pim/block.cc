@@ -75,7 +75,16 @@ std::uint64_t MemoryBlock::read_number(std::size_t row, Col base,
 
 void MemoryBlock::clear() noexcept {
   for (auto& c : cols_) c.clear();
+  written_end_ = 0;
   enforce_faults();
+}
+
+void MemoryBlock::reset() noexcept {
+  faults_.clear();
+  remap_.reset();
+  observer_ = nullptr;
+  for (unsigned c = 0; c < written_end_; ++c) cols_[c].clear();
+  written_end_ = 0;
 }
 
 void MemoryBlock::inject_stuck_at(Col col, std::size_t row, bool value) {
@@ -105,6 +114,7 @@ void MemoryBlock::enforce_faults() noexcept {
     auto& c = cols_[f.col];
     if (c.get(f.row) != f.value) {
       c.set(f.row, f.value);
+      note_written(f.col);
       // The preceding write tried to store the opposite bit: a
       // program-verify failure in real ReRAM.
       if (observer_ != nullptr) observer_->stuck_write(f.col, f.row, f.value);

@@ -26,8 +26,9 @@ using Col = std::uint16_t;
 inline constexpr std::size_t kBlockRows = 512;
 inline constexpr std::size_t kBlockCols = 512;
 
-/// Bitset over the rows of one column.
-class ColumnBits {
+/// Bitset over the rows of one column. One cache line: a 512-row column
+/// is exactly one AVX-512 register.
+class alignas(64) ColumnBits {
  public:
   static constexpr std::size_t kWords = kBlockRows / 64;
   using Words = std::array<std::uint64_t, kWords>;
@@ -35,6 +36,8 @@ class ColumnBits {
   std::uint64_t word(std::size_t w) const noexcept { return words_[w]; }
   const Words& words() const noexcept { return words_; }
   void set_word(std::size_t w, std::uint64_t v) noexcept { words_[w] = v; }
+  std::uint64_t* data() noexcept { return words_.data(); }
+  const std::uint64_t* data() const noexcept { return words_.data(); }
 
   bool get(std::size_t row) const noexcept {
     return (words_[row / 64] >> (row % 64)) & 1u;
@@ -54,7 +57,7 @@ class ColumnBits {
 };
 
 /// Row mask selecting which wordlines participate in a gate op.
-class RowMask {
+class alignas(64) RowMask {
  public:
   /// All rows inactive.
   RowMask() = default;
@@ -130,7 +133,9 @@ class MemoryBlock {
  public:
   ColumnBits& column(Col c) noexcept {
     assert(c < kBlockCols);
-    return cols_[remap_ ? (*remap_)[c] : c];
+    const Col p = physical_column(c);
+    note_written(p);
+    return cols_[p];
   }
   const ColumnBits& column(Col c) const noexcept {
     assert(c < kBlockCols);
@@ -145,6 +150,10 @@ class MemoryBlock {
 
   /// Reset every cell to 0 (power-on state). Stuck cells re-assert.
   void clear() noexcept;
+  /// Back to a factory-fresh block: every cell 0, no stuck faults, no
+  /// column remaps, no write-verify observer. Clears only the columns
+  /// written since the last clear or reset.
+  void reset() noexcept;
 
   // -- fault injection --------------------------------------------------------
   /// Mark a *physical* cell as permanently stuck. Enforced by
@@ -177,6 +186,19 @@ class MemoryBlock {
   bool has_remaps() const noexcept { return remap_ != nullptr; }
   void clear_remaps() noexcept { remap_.reset(); }
 
+  // -- raw access for the gate kernels (pim/gate_kernels.h) -------------------
+  /// The kBlockCols physical columns, indexed by physical column id.
+  /// Whoever writes through it notes the columns (note_written).
+  ColumnBits* physical_columns() noexcept { return cols_.data(); }
+  /// Physical column `p` may hold set bits: reset() must clear it.
+  void note_written(Col p) noexcept {
+    if (p >= written_end_) written_end_ = p + 1u;
+  }
+  /// Logical -> physical column map; nullptr while it is the identity.
+  const Col* remap_table() const noexcept {
+    return remap_ ? remap_->data() : nullptr;
+  }
+
  private:
   std::vector<ColumnBits> cols_ = std::vector<ColumnBits>(kBlockCols);
   std::vector<StuckFault> faults_;
@@ -184,6 +206,9 @@ class MemoryBlock {
   // Identity when null (the common, fault-free case): one pointer test on
   // the access path instead of an unconditional indirection.
   std::unique_ptr<std::array<Col, kBlockCols>> remap_;
+  // Physical columns at or above this have held only zeros since the last
+  // clear() or reset().
+  unsigned written_end_ = 0;
 };
 
 }  // namespace cryptopim::pim

@@ -14,11 +14,12 @@ namespace {
 // record each call's cycle count so a run's Barrett-vs-Montgomery split
 // is observable without re-deriving it from stage totals. Reductions run
 // once per recorded stage program (not per bank), so this is cold code.
+// Samples go to the executor's registry (the compiling simulator's).
 struct ReduceMeter {
   ReduceMeter(BlockExecutor& exec, const char* metric)
       : exec_(exec), metric_(metric), start_(exec.stats().cycles) {}
   ~ReduceMeter() {
-    obs::metrics()
+    exec_.metrics()
         .histogram(metric_, "cycles")
         .add(exec_.stats().cycles - start_);
   }

@@ -1,5 +1,6 @@
 #include "pim/executor.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -11,58 +12,6 @@ namespace cryptopim::pim {
 namespace {
 
 using Word = std::uint64_t;
-
-// v = f(a, b, c) on every word of the window, written under the mask.
-// Input complements are folded in as XOR masks, so the loop is
-// branch-free.
-template <typename F>
-inline void gate_words(ColumnBits& dst, const ColumnBits& ca,
-                       const ColumnBits& cb, const ColumnBits& cc,
-                       const MicroOp& op, const RowMask& mask,
-                       RowMask::WordWindow win, F f) {
-  const Word na = op.neg_a ? ~Word{0} : 0;
-  const Word nb = op.neg_b ? ~Word{0} : 0;
-  const Word nc = op.neg_c ? ~Word{0} : 0;
-  for (unsigned w = win.first; w < win.last; ++w) {
-    const Word m = mask.word(w);
-    const Word v = f(ca.word(w) ^ na, cb.word(w) ^ nb, cc.word(w) ^ nc);
-    dst.set_word(w, (dst.word(w) & ~m) | (v & m));
-  }
-}
-
-// The one gate kernel behind issue() and replay(): evaluates `op` on the
-// rows of `mask` inside `win`, with the kind switch hoisted out of the
-// word loop. No accounting, no fault enforcement.
-void apply_gate(MemoryBlock& block, const MicroOp& op, const RowMask& mask,
-                RowMask::WordWindow win) {
-  ColumnBits& d = block.column(op.dst);
-  const ColumnBits& a = block.column(op.a);
-  const ColumnBits& b = block.column(op.b);
-  const ColumnBits& c = block.column(op.c);
-  const auto run = [&](auto f) { gate_words(d, a, b, c, op, mask, win, f); };
-  using W = Word;
-  switch (op.kind) {
-    case GateKind::kSet0: run([](W, W, W) { return W{0}; }); break;
-    case GateKind::kSet1: run([](W, W, W) { return ~W{0}; }); break;
-    case GateKind::kNot:  run([](W x, W, W) { return ~x; }); break;
-    case GateKind::kNor:  run([](W x, W y, W) { return ~(x | y); }); break;
-    case GateKind::kNand: run([](W x, W y, W) { return ~(x & y); }); break;
-    case GateKind::kOr:   run([](W x, W y, W) { return x | y; }); break;
-    case GateKind::kAnd:  run([](W x, W y, W) { return x & y; }); break;
-    case GateKind::kXor2: run([](W x, W y, W) { return x ^ y; }); break;
-    case GateKind::kXor3: run([](W x, W y, W z) { return x ^ y ^ z; }); break;
-    case GateKind::kMaj3:
-      run([](W x, W y, W z) { return (x & y) | (x & z) | (y & z); });
-      break;
-    case GateKind::kMin3:
-      run([](W x, W y, W z) { return ~((x & y) | (x & z) | (y & z)); });
-      break;
-    case GateKind::kMux:
-      run([](W x, W y, W z) { return (x & z) | (y & ~z); });
-      break;
-    case GateKind::kCopy: run([](W x, W, W) { return x; }); break;
-  }
-}
 
 // In-place transpose of a 64x64 bit matrix: bit c of t[r] and bit r of
 // t[c] trade places (recursive block swap, 6 rounds of 32 word pairs).
@@ -79,27 +28,57 @@ void transpose64(std::array<Word, 64>& t) noexcept {
 
 }  // namespace
 
-void ExecStats::publish(obs::MetricsRegistry& reg) const {
-  reg.counter("cryptopim.exec.cycles", "cycles").add(cycles);
-  reg.counter("cryptopim.exec.micro_ops", "ops").add(micro_ops);
-  reg.counter("cryptopim.exec.cell_events", "events").add(cell_events);
-  reg.counter("cryptopim.switch.transfer_bits", "bits").add(transfer_bits);
-  reg.histogram("cryptopim.exec.cols_peak", "columns").add(cols_peak);
+ExecMetrics::ExecMetrics(obs::MetricsRegistry& reg)
+    : cycles(&reg.counter("cryptopim.exec.cycles", "cycles")),
+      micro_ops(&reg.counter("cryptopim.exec.micro_ops", "ops")),
+      cell_events(&reg.counter("cryptopim.exec.cell_events", "events")),
+      transfer_bits(&reg.counter("cryptopim.switch.transfer_bits", "bits")),
+      cols_peak(&reg.histogram("cryptopim.exec.cols_peak", "columns")) {}
+
+void ExecStats::publish(const ExecMetrics& m) const {
+  m.cycles->add(cycles);
+  m.micro_ops->add(micro_ops);
+  m.cell_events->add(cell_events);
+  m.transfer_bits->add(transfer_bits);
+  m.cols_peak->add(cols_peak);
 }
 
-BlockExecutor::BlockExecutor(MemoryBlock& block, RowMask mask,
+BlockExecutor::BlockExecutor(MemoryBlock& block, const RowMask& mask,
                              DeviceModel device)
     : block_(block), mask_(mask), device_(device) {
   free_cols_.reserve(kBlockCols - 2);
-  // LIFO: hand out low column ids first.
-  for (std::size_t c = kBlockCols; c-- > 2;) {
-    free_cols_.push_back(static_cast<Col>(c));
-  }
   refcount_[kZeroCol] = kSticky;
   refcount_[kOneCol] = kSticky;
+  reset();
+}
+
+void BlockExecutor::reset() {
+  stats_ = ExecStats{};
+  // Every column but the rails and the reserved regions is free again,
+  // LIFO, low column ids first: the order reserve_region() leaves, so an
+  // allocator nobody used since needs no rebuild.
+  if (free_cols_.empty() || allocator_used_) {
+    free_cols_.clear();
+    for (std::size_t c = kBlockCols; c-- > 2;) {
+      if (refcount_[c] == kSticky) continue;
+      refcount_[c] = 0;
+      free_cols_.push_back(static_cast<Col>(c));
+    }
+    allocator_used_ = false;
+  }
+  recorder_ = nullptr;
+  record_slot_ = 0;
+  tracer_ = nullptr;
+  trace_track_ = 0;
+  trace_base_ = 0;
+  metrics_ = nullptr;
   // Establish the constant rails. Power-on state is all-zero, so only the
   // one-rail needs a SET.
   set1(kOneCol);
+}
+
+obs::MetricsRegistry& BlockExecutor::metrics() const noexcept {
+  return metrics_ != nullptr ? *metrics_ : obs::metrics();
 }
 
 Col BlockExecutor::alloc_col() {
@@ -108,6 +87,7 @@ Col BlockExecutor::alloc_col() {
   }
   const Col c = free_cols_.back();
   free_cols_.pop_back();
+  allocator_used_ = true;
   assert(refcount_[c] == 0);
   refcount_[c] = 1;
   // Column-allocator occupancy high-water mark (rails + reserved regions
@@ -128,6 +108,7 @@ void BlockExecutor::retain_col(Col c) {
   if (refcount_[c] == kSticky) return;
   assert(refcount_[c] > 0);
   ++refcount_[c];
+  allocator_used_ = true;
 }
 
 void BlockExecutor::free_col(Col c) {
@@ -194,50 +175,82 @@ void BlockExecutor::issue(const MicroOp& op) {
   stats_.cycles += cycles;
   stats_.micro_ops += 1;
   stats_.cell_events += static_cast<std::uint64_t>(cycles) * mask_.count();
-  apply_gate(block_, op, mask_, mask_.word_window());
+  const RowMask::WordWindow win = mask_.word_window();
+  if (win.last != 0) {  // an empty mask (a recording run) drives no cell
+    const Instr instr{op, 0};
+    block_.note_written(block_.physical_column(op.dst));
+    GateLane lane = gate_lane(block_, &mask_, win);
+    lane.faulty = nullptr;  // enforced below, with or without faults
+    best_gate_kernels().run(&instr, &instr + 1, &lane, 1);
+  }
   block_.enforce_faults();
 }
 
 void BlockExecutor::replay(const Program& program,
-                           std::span<const RowMask> mask_slots) {
-  // Replaying into a recording would need the markers re-based too; no
-  // caller does it.
-  assert(recorder_ == nullptr);
-  std::array<RowMask::WordWindow, kMaskSlots> windows{};
-  std::uint64_t cell_events = 0;
-  for (std::size_t s = 0; s < kMaskSlots; ++s) {
-    const std::uint64_t cycles = program.slot_cycles()[s];
-    if (cycles == 0) continue;
-    assert(s < mask_slots.size());
-    windows[s] = mask_slots[s].word_window();
-    cell_events += cycles * mask_slots[s].count();
+                           std::span<const ReplayLane> lanes,
+                           const GateKernels& kernels) {
+  const auto& slot_cycles = program.slot_cycles();
+  // Each lane's window spans the rows of every slot the program drives.
+  std::vector<GateLane> gate_lanes;
+  gate_lanes.reserve(lanes.size());
+  for (const ReplayLane& l : lanes) {
+    // Replaying into a recording would need the markers re-based too; no
+    // caller does it.
+    assert(l.exec->recorder_ == nullptr);
+    RowMask::WordWindow win;
+    for (std::size_t s = 0; s < kMaskSlots; ++s) {
+      if (slot_cycles[s] == 0) continue;
+      assert(s < l.mask_slots.size());
+      const RowMask::WordWindow w = l.mask_slots[s].word_window();
+      if (w.last == 0) continue;
+      win = win.last == 0 ? w
+                          : RowMask::WordWindow{std::min(win.first, w.first),
+                                                std::max(win.last, w.last)};
+    }
+    MemoryBlock& block = l.exec->block_;
+    if (program.written_end() > 0) {
+      block.note_written(block.has_remaps() ? kBlockCols - 1
+                                            : program.written_end() - 1);
+    }
+    gate_lanes.push_back(gate_lane(block, l.mask_slots.data(), win));
   }
 
-  // Stuck cells re-assert after every gate, as with issue(); a fault-free
-  // block (the common case) skips the check entirely.
-  const bool faulty = !block_.faults().empty();
-  for (const Instr& i : program.instrs()) {
-    apply_gate(block_, i.op, mask_slots[i.mask_slot], windows[i.mask_slot]);
-    if (faulty) block_.enforce_faults();
+  // Lanes run in groups of at most kLaneGroup: across 16 blocks the
+  // columns one program touches (~9 KiB per block) fall out of the near
+  // caches, and per-lane cost rose ~15% (n = 4096, both softbanks) over
+  // what the shared dispatch saves.
+  constexpr std::size_t kLaneGroup = 8;
+  const std::vector<Instr>& instrs = program.instrs();
+  for (std::size_t g = 0; g < gate_lanes.size(); g += kLaneGroup) {
+    kernels.run(instrs.data(), instrs.data() + instrs.size(),
+                gate_lanes.data() + g,
+                std::min(kLaneGroup, gate_lanes.size() - g));
   }
 
+  for (const ReplayLane& l : lanes) {
+    BlockExecutor& e = *l.exec;
 #if CRYPTOPIM_TRACING
-  if (tracer_ != nullptr) {
-    const std::uint64_t t0 = trace_now();
-    for (const SpanMark& m : program.marks()) {
-      if (m.begin) {
-        tracer_->begin(trace_track_, m.name, m.cat, t0 + m.cycle);
-      } else {
-        tracer_->end(trace_track_, t0 + m.cycle);
+    if (e.tracer_ != nullptr) {
+      const std::uint64_t t0 = e.trace_now();
+      for (const SpanMark& m : program.marks()) {
+        if (m.begin) {
+          e.tracer_->begin(e.trace_track_, m.name, m.cat, t0 + m.cycle);
+        } else {
+          e.tracer_->end(e.trace_track_, t0 + m.cycle);
+        }
       }
     }
-  }
 #endif
-  stats_.cycles += program.cycles();
-  stats_.micro_ops += program.size();
-  stats_.cell_events += cell_events;
-  if (program.cols_peak() > stats_.cols_peak) {
-    stats_.cols_peak = program.cols_peak();
+    for (std::size_t s = 0; s < kMaskSlots; ++s) {
+      if (slot_cycles[s] != 0) {
+        e.stats_.cell_events += slot_cycles[s] * l.mask_slots[s].count();
+      }
+    }
+    e.stats_.cycles += program.cycles();
+    e.stats_.micro_ops += program.size();
+    if (program.cols_peak() > e.stats_.cols_peak) {
+      e.stats_.cols_peak = program.cols_peak();
+    }
   }
 }
 
@@ -275,14 +288,35 @@ void BlockExecutor::charge_transfer(unsigned bits, unsigned cycles,
 
 void BlockExecutor::host_write(const Operand& op,
                                std::span<const std::uint64_t> values) {
-  assert(op.width() <= 64);
-  // One 64-row word at a time: gather the active rows' values, transpose
-  // so tile[i] holds bit i of every row, and store each bit column with
-  // one masked word write.
+  host_write_columns(op, bit_columns(values, mask_, op.width()));
+}
+
+void BlockExecutor::host_write_columns(const Operand& op,
+                                       std::span<const ColumnBits> images) {
+  assert(images.size() == op.width());
+  // One masked word write per bit column and 64-row word.
+  const RowMask::WordWindow win = mask_.word_window();
+  for (unsigned i = 0; i < op.width(); ++i) {
+    ColumnBits& col = block_.column(op.col(i));
+    for (unsigned w = win.first; w < win.last; ++w) {
+      const Word m = mask_.word(w);
+      col.set_word(w, (col.word(w) & ~m) | (images[i].word(w) & m));
+    }
+  }
+  block_.enforce_faults();
+}
+
+std::vector<ColumnBits> BlockExecutor::bit_columns(
+    std::span<const std::uint64_t> values, const RowMask& mask,
+    unsigned width) {
+  assert(width <= 64);
+  // One 64-row word at a time: gather the active rows' values and
+  // transpose so tile[i] holds bit i of every row.
+  std::vector<ColumnBits> images(width);
   std::array<Word, 64> tile;
   std::size_t v = 0;
   for (std::size_t w = 0; w < ColumnBits::kWords; ++w) {
-    const Word m = mask_.word(w);
+    const Word m = mask.word(w);
     if (m == 0) continue;
     tile.fill(0);
     for (Word rest = m; rest != 0; rest &= rest - 1) {
@@ -290,13 +324,10 @@ void BlockExecutor::host_write(const Operand& op,
       tile[static_cast<unsigned>(std::countr_zero(rest))] = values[v++];
     }
     transpose64(tile);
-    for (unsigned i = 0; i < op.width(); ++i) {
-      ColumnBits& col = block_.column(op.col(i));
-      col.set_word(w, (col.word(w) & ~m) | (tile[i] & m));
-    }
+    for (unsigned i = 0; i < width; ++i) images[i].set_word(w, tile[i] & m);
   }
   assert(v == values.size());
-  block_.enforce_faults();
+  return images;
 }
 
 std::vector<std::uint64_t> BlockExecutor::host_read(const Operand& op) const {

@@ -17,15 +17,27 @@
 #include "obs/trace.h"
 #include "pim/block.h"
 #include "pim/device.h"
+#include "pim/gate_kernels.h"
 #include "pim/isa.h"
 
 namespace cryptopim::obs {
+class Counter;
+class Histogram;
 class MetricsRegistry;
 }
 
 namespace cryptopim::pim {
 
 class Program;  // pim/program.h
+class BlockExecutor;
+
+/// One block of a lock-step replay (BlockExecutor::replay): its executor
+/// and the mask table it replays under — entry s drives the rows of the
+/// program's mask slot s.
+struct ReplayLane {
+  BlockExecutor* exec = nullptr;
+  std::span<const RowMask> mask_slots;
+};
 
 /// A multi-bit value spread over block columns, LSB-first: `col(i)` is the
 /// column holding bit i. Columns need not be contiguous, and several
@@ -56,6 +68,17 @@ class Operand {
   std::vector<Col> cols_;
 };
 
+/// The registry entries ExecStats::publish writes, looked up once: a
+/// registry's entries stay put until it is reset.
+struct ExecMetrics {
+  explicit ExecMetrics(obs::MetricsRegistry& reg);
+  obs::Counter* cycles;
+  obs::Counter* micro_ops;
+  obs::Counter* cell_events;
+  obs::Counter* transfer_bits;
+  obs::Histogram* cols_peak;
+};
+
 /// Cycle/energy accounting for one block (or one chained program).
 ///
 /// This struct is the fast per-block ledger; for run-level observation it
@@ -81,23 +104,29 @@ struct ExecStats {
     return *this;
   }
 
-  /// Mirrors the ledger into `reg` as `cryptopim.exec.<field>` counters
-  /// (cols_peak as a histogram sample).
-  void publish(obs::MetricsRegistry& reg) const;
+  /// Mirrors the ledger into the registry as `cryptopim.exec.<field>`
+  /// counters (cols_peak as a histogram sample).
+  void publish(const ExecMetrics& m) const;
 };
 
 class BlockExecutor {
  public:
   /// Columns 0 and 1 are reserved as constant 0 / constant 1 rails; the
   /// SET of the one-rail is charged to the program (1 cycle).
-  BlockExecutor(MemoryBlock& block, RowMask mask,
+  BlockExecutor(MemoryBlock& block, const RowMask& mask,
                 DeviceModel device = DeviceModel::paper_45nm());
+
+  /// Back to the state after construction and reserve_region() on the
+  /// same block and mask: every column outside the rails and the reserved
+  /// regions free, stats zero, recording, tracer and metrics detached, and
+  /// the one-rail SET again (charged, fault-checked).
+  void reset();
 
   const RowMask& mask() const noexcept { return mask_; }
   /// Change which wordlines subsequent gate ops drive. Used by stage
   /// programs that run one op sequence on the butterfly's low rows and
   /// another on its high rows.
-  void set_mask(RowMask mask) noexcept { mask_ = mask; }
+  void set_mask(const RowMask& mask) noexcept { mask_ = mask; }
   const DeviceModel& device() const noexcept { return device_; }
   MemoryBlock& block() noexcept { return block_; }
 
@@ -137,14 +166,18 @@ class BlockExecutor {
   /// cell events.
   void issue(const MicroOp& op);
 
-  /// Replay a compiled program through the same gate kernel as issue():
-  /// instruction i drives the rows of mask_slots[i.mask_slot]. Cycles,
-  /// micro-ops and cell events are charged in bulk from the program's
-  /// per-slot totals, cols_peak from its recorded high-water mark, and
-  /// its span markers are re-emitted on this executor's track. Stuck
-  /// faults are enforced after every instruction when the block has any.
-  /// The executor's own mask is not touched.
-  void replay(const Program& program, std::span<const RowMask> mask_slots);
+  /// Replay a compiled program on every lane in lock-step, as the
+  /// controller broadcasts it: instruction outer, lanes inner, through
+  /// `kernels` (the same gate loop as issue()). On each lane, instruction
+  /// i drives the rows of mask_slots[i.mask_slot]; a one-block replay is
+  /// a one-lane call. Per lane, cycles, micro-ops and cell events are
+  /// charged in bulk from the program's per-slot totals, cols_peak from
+  /// its recorded high-water mark, and the span markers are re-emitted on
+  /// the lane's track. A lane whose block has stuck cells enforces them
+  /// after every instruction. Executors' own masks are not touched.
+  static void replay(const Program& program,
+                     std::span<const ReplayLane> lanes,
+                     const GateKernels& kernels = best_gate_kernels());
 
   void set0(Col dst) { issue({GateKind::kSet0, dst, 0, 0, 0, false, false, false}); }
   void set1(Col dst) { issue({GateKind::kSet1, dst, 0, 0, 0, false, false, false}); }
@@ -199,9 +232,24 @@ class BlockExecutor {
   void set_record_slot(std::uint8_t slot) noexcept { record_slot_ = slot; }
   std::uint8_t record_slot() const noexcept { return record_slot_; }
 
+  // -- metrics ---------------------------------------------------------------
+  /// Registry for circuit-level samples (cryptopim.reduce.*); nullptr
+  /// (the default) is the process-global obs::metrics().
+  void set_metrics(obs::MetricsRegistry* reg) noexcept { metrics_ = reg; }
+  obs::MetricsRegistry& metrics() const noexcept;
+
   // -- host I/O (write drivers; not charged as compute cycles) --------------
   /// Write one value per active row into `op` (bit i -> op.col(i)).
   void host_write(const Operand& op, std::span<const std::uint64_t> values);
+  /// The same write from its bit-column images (bit_columns of the
+  /// values under this executor's mask): no transpose.
+  void host_write_columns(const Operand& op,
+                          std::span<const ColumnBits> images);
+  /// Bit-column images of one `width`-bit value per active row of `mask`:
+  /// image i holds bit i of every row's value.
+  static std::vector<ColumnBits> bit_columns(
+      std::span<const std::uint64_t> values, const RowMask& mask,
+      unsigned width);
   /// Read one value per active row.
   std::vector<std::uint64_t> host_read(const Operand& op) const;
   /// Write the same value into every active row.
@@ -222,11 +270,13 @@ class BlockExecutor {
   // refcount per column: kSticky for rails/constants/data regions.
   static constexpr int kSticky = -1;
   std::array<int, kBlockCols> refcount_{};
+  bool allocator_used_ = false;  // alloc/retain since the last reset()
   Program* recorder_ = nullptr;
   std::uint8_t record_slot_ = 0;
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t trace_track_ = 0;
   std::uint64_t trace_base_ = 0;
+  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 /// RAII span on an executor's track, in cycle time:

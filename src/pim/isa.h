@@ -9,6 +9,7 @@
 // directly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "pim/block.h"
@@ -87,6 +88,16 @@ struct MicroOp {
   Col dst = 0;
   Col a = 0, b = 0, c = 0;
   bool neg_a = false, neg_b = false, neg_c = false;
+};
+
+/// Mask-table entries per bank (the instruction's 2-bit slot field).
+inline constexpr std::size_t kMaskSlots = 4;
+
+/// One controller instruction: a gate micro-op driven on the rows selected
+/// by `mask_slot` (an index into the per-bank mask table).
+struct Instr {
+  MicroOp op;
+  std::uint8_t mask_slot = 0;
 };
 
 }  // namespace cryptopim::pim

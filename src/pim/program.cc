@@ -7,6 +7,7 @@ namespace cryptopim::pim {
 void Program::append(const MicroOp& op, std::uint8_t mask_slot) {
   assert(mask_slot < kMaskSlots);
   instrs_.push_back(Instr{op, mask_slot});
+  if (op.dst >= written_end_) written_end_ = static_cast<Col>(op.dst + 1);
   cycles_ += gate_cycles(op.kind);
   slot_cycles_[mask_slot] += gate_cycles(op.kind);
 }
@@ -33,11 +34,12 @@ std::size_t Controller::add_stage(std::string name,
 void Controller::run_stage(
     std::size_t id, std::span<BlockExecutor* const> banks,
     std::span<const std::vector<RowMask>> mask_tables) const {
-  const Program& prog = program(id);
   assert(banks.size() == mask_tables.size());
+  std::vector<ReplayLane> lanes(banks.size());
   for (std::size_t b = 0; b < banks.size(); ++b) {
-    banks[b]->replay(prog, mask_tables[b]);
+    lanes[b] = ReplayLane{banks[b], mask_tables[b]};
   }
+  BlockExecutor::replay(program(id), lanes);
 }
 
 std::uint64_t Controller::total_instructions() const noexcept {

@@ -9,8 +9,9 @@
 //
 // This module reifies that: a Program is a recorded sequence of gate
 // micro-ops annotated with a mask slot; BlockExecutor records into a
-// Program while circuits run, and replays it (BlockExecutor::replay) on
-// any number of blocks.
+// Program while circuits run, and replays it on any number of blocks in
+// lock-step (BlockExecutor::replay: one instruction stream, every block
+// a lane of it).
 // A program is compiled once and replayed many times, so everything a
 // replay needs is precomputed at record time: per-slot cycle totals (the
 // replay charges cycles, micro-ops and cell events in bulk from the
@@ -31,16 +32,6 @@
 #include "pim/isa.h"
 
 namespace cryptopim::pim {
-
-/// Mask-table entries per bank (the instruction's 2-bit slot field).
-inline constexpr std::size_t kMaskSlots = 4;
-
-/// One controller instruction: a gate micro-op driven on the rows selected
-/// by `mask_slot` (an index into the per-bank mask table).
-struct Instr {
-  MicroOp op;
-  std::uint8_t mask_slot = 0;
-};
 
 /// A trace span boundary recorded inside a program: replay re-emits it
 /// on the replaying executor's track at `cycle` cycles into the program.
@@ -77,6 +68,8 @@ class Program {
     return slot_cycles_;
   }
   std::uint64_t cols_peak() const noexcept { return cols_peak_; }
+  /// One past the highest column any instruction writes.
+  Col written_end() const noexcept { return written_end_; }
 
   /// Encoded size in bits, as a controller-ROM estimate: opcode (4) +
   /// 3 x column id (9 for 512 columns) + polarity (3) + mask slot (2).
@@ -88,6 +81,7 @@ class Program {
   std::array<std::uint64_t, kMaskSlots> slot_cycles_{};
   std::uint64_t cycles_ = 0;
   std::uint64_t cols_peak_ = 0;
+  Col written_end_ = 0;
 };
 
 /// Records every micro-op an executor issues while in scope.
@@ -134,7 +128,8 @@ class Controller {
   const std::string& name(std::size_t id) const { return stages_.at(id).name; }
 
   /// Broadcast one stage to many blocks (the SIMD-across-banks execution
-  /// the architecture relies on). Each bank gets its own mask table.
+  /// the architecture relies on): one lock-step replay with every bank a
+  /// lane. Each bank gets its own mask table.
   void run_stage(std::size_t id,
                  std::span<BlockExecutor* const> banks,
                  std::span<const std::vector<RowMask>> mask_tables) const;

@@ -56,7 +56,7 @@ void FixedFunctionSwitch::transfer(const MemoryBlock& src,
   for (unsigned bit = 0; bit < src_op.width(); ++bit) {
     Words moved = src.column(src_op.col(bit)).words();
     for (int w = 0; w < kWords; ++w) moved[w] &= mask.word(w);
-    moved = shift_rows(moved, offset);
+    if (offset != 0) moved = shift_rows(moved, offset);
     if (parity_) {
       for (int w = 0; w < kWords; ++w) sent_parity[w] ^= moved[w];
     }

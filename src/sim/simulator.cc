@@ -54,6 +54,8 @@ std::string butterfly_name(std::uint32_t stride) {
 }  // namespace
 
 struct CryptoPimSimulator::PolyState {
+  // Banks are made once and reused through the pool: each executor is
+  // bound to its block for the state's lifetime.
   struct Bank {
     pim::MemoryBlock block;
     std::unique_ptr<pim::BlockExecutor> exec;
@@ -85,6 +87,25 @@ CryptoPimSimulator::CryptoPimSimulator(const ntt::NttParams& params,
       rows_per_bank_(std::min<std::size_t>(params.n, pim::kBlockRows)),
       width_(bit_length(params.q)) {}
 
+CryptoPimSimulator::~CryptoPimSimulator() = default;
+
+void CryptoPimSimulator::set_reliability(
+    reliability::ReliabilityManager* rm) noexcept {
+  rel_ = rm;
+  scale_prog_.reset();
+  pool_.clear();
+}
+
+CryptoPimSimulator::StageMetrics::StageMetrics(obs::MetricsRegistry& reg)
+    : exec(reg),
+      stages(&reg.counter("cryptopim.sim.stages", "stages")),
+      cycles_scale(&reg.counter("cryptopim.sim.cycles.scale", "cycles")),
+      cycles_butterfly(
+          &reg.counter("cryptopim.sim.cycles.butterfly", "cycles")),
+      cycles_pointwise(
+          &reg.counter("cryptopim.sim.cycles.pointwise", "cycles")),
+      stage_cycles(&reg.histogram("cryptopim.sim.stage_cycles", "cycles")) {}
+
 void CryptoPimSimulator::reserve_regions(pim::BlockExecutor& exec) const {
   exec.reserve_region(kOwnBase, 3 * width_);
   if (rel_ != nullptr) {
@@ -95,23 +116,38 @@ void CryptoPimSimulator::reserve_regions(pim::BlockExecutor& exec) const {
 }
 
 std::unique_ptr<CryptoPimSimulator::PolyState>
-CryptoPimSimulator::make_state() {
-  auto st = std::make_unique<PolyState>();
-  st->width = width_;
-  st->banks.resize(banks_);
+CryptoPimSimulator::acquire_state() {
+  std::unique_ptr<PolyState> st;
+  if (pool_.empty()) {
+    st = std::make_unique<PolyState>();
+    st->width = width_;
+    st->banks.resize(banks_);
+  } else {
+    st = std::move(pool_.back());
+    pool_.pop_back();
+  }
   for (unsigned b = 0; b < banks_; ++b) {
     auto& bank = st->banks[b];
-    // Faults and column remaps must land before the executor writes the
-    // constant rails, exactly like power-on of a (worn) physical block.
+    // Power-on of a (worn) physical block: faults and column remaps land
+    // before the executor writes the constant rails.
+    bank.block.reset();
     if (rel_ != nullptr) {
       rel_->prepare_block(stage_counter_, b, bank.block);
     }
-    bank.exec = std::make_unique<pim::BlockExecutor>(
-        bank.block, pim::RowMask::first_rows(rows_per_bank_), device_);
-    reserve_regions(*bank.exec);
+    if (bank.exec == nullptr) {
+      bank.exec = std::make_unique<pim::BlockExecutor>(
+          bank.block, pim::RowMask::first_rows(rows_per_bank_), device_);
+      reserve_regions(*bank.exec);
+    } else {
+      bank.exec->reset();  // keeps the reserved regions
+    }
   }
   ++stage_counter_;
   return st;
+}
+
+void CryptoPimSimulator::release_state(std::unique_ptr<PolyState> st) {
+  pool_.push_back(std::move(st));
 }
 
 void CryptoPimSimulator::compile() {
@@ -123,6 +159,7 @@ void CryptoPimSimulator::compile() {
   auto record = [this](std::uint8_t first_slot, const auto& body) {
     pim::MemoryBlock blk;
     pim::BlockExecutor e(blk, pim::RowMask(), device_);
+    e.set_metrics(active_metrics_);
     reserve_regions(e);
     pim::Program prog;
     {
@@ -210,15 +247,19 @@ void CryptoPimSimulator::build_factor_rows() {
   // final scale is n^{-1} psi^{-i}, addressed through the output
   // permutation: row r holds element bitrev(r).
   const auto R_mod_q = static_cast<std::uint32_t>(montgomery_.R() % q);
-  rows_.scale_a.resize(n);
-  rows_.scale_b.resize(n);
-  rows_.scale_out.resize(n);
+  struct {
+    std::vector<std::uint64_t> scale_a, scale_b, scale_out;
+    std::vector<std::vector<std::uint64_t>> forward, inverse;
+  } rows;
+  rows.scale_a.resize(n);
+  rows.scale_b.resize(n);
+  rows.scale_out.resize(n);
   for (std::uint32_t g = 0; g < n; ++g) {
     const std::uint64_t i = bit_reverse(g, bits);
     const std::uint32_t psi_i = montgomery_.to_mont(engine_.psi_powers()[i]);
-    rows_.scale_a[g] = psi_i;
-    rows_.scale_b[g] = ntt::mul_mod(psi_i, R_mod_q, q);
-    rows_.scale_out[g] = montgomery_.to_mont(engine_.psi_inv_scaled()[i]);
+    rows.scale_a[g] = psi_i;
+    rows.scale_b[g] = ntt::mul_mod(psi_i, R_mod_q, q);
+    rows.scale_out[g] = montgomery_.to_mont(engine_.psi_inv_scaled()[i]);
   }
 
   // omega^{-e} for every exponent the inverse schedule uses (< n/2).
@@ -229,8 +270,8 @@ void CryptoPimSimulator::build_factor_rows() {
     pw = ntt::mul_mod(pw, params_.omega_inv, q);
   }
 
-  rows_.forward.assign(bits, std::vector<std::uint64_t>(n, 0));
-  rows_.inverse.assign(bits, std::vector<std::uint64_t>(n, 0));
+  rows.forward.assign(bits, std::vector<std::uint64_t>(n, 0));
+  rows.inverse.assign(bits, std::vector<std::uint64_t>(n, 0));
   for (unsigned k = 0; k < bits; ++k) {
     const std::uint32_t stride = 1u << k;
     const std::uint32_t step = n / (2 * stride);
@@ -239,15 +280,51 @@ void CryptoPimSimulator::build_factor_rows() {
       const std::uint32_t j = g - stride;
       // Algorithm 2: the butterfly writing row j' = j + 2^k multiplies by
       // twiddle[j >> (k+1)] from the bit-reversed table.
-      rows_.forward[k][g] =
+      rows.forward[k][g] =
           montgomery_.to_mont(engine_.forward_twiddles()[j >> (k + 1)]);
       // Conjugate (decreasing-stride) schedule: classic Gentleman–Sande
       // with w^{-1}; the butterfly at (j, j+len) uses exponent
       // (j mod len)*n/(2len).
-      rows_.inverse[k][g] =
+      rows.inverse[k][g] =
           montgomery_.to_mont(omega_inv_pow[(j & (stride - 1)) * step]);
     }
   }
+
+  // Every stage copies these columns in as they are: the transpose
+  // happens once here, not per stage.
+  const pim::RowMask all = pim::RowMask::first_rows(rows_per_bank_);
+  const auto images = [&](const std::vector<std::uint64_t>& by_row) {
+    std::vector<pim::ColumnBits> out;
+    out.reserve(std::size_t{banks_} * width_);
+    for (unsigned b = 0; b < banks_; ++b) {
+      const auto bank = pim::BlockExecutor::bit_columns(
+          std::span(by_row).subspan(b * pim::kBlockRows, rows_per_bank_),
+          all, width_);
+      out.insert(out.end(), bank.begin(), bank.end());
+    }
+    return out;
+  };
+  images_.scale_a = images(rows.scale_a);
+  images_.scale_b = images(rows.scale_b);
+  images_.scale_out = images(rows.scale_out);
+  images_.forward.clear();
+  images_.inverse.clear();
+  for (unsigned k = 0; k < bits; ++k) {
+    images_.forward.push_back(images(rows.forward[k]));
+    images_.inverse.push_back(images(rows.inverse[k]));
+  }
+
+  // Mask tables. A butterfly runs both phases on every bank in lock-step,
+  // even when a bank's side is empty: within a bank the stride splits the
+  // rows; across banks a whole bank is high or low.
+  all_rows_ = {all};
+  in_bank_slots_.clear();
+  for (std::uint32_t stride = 1; stride < rows_per_bank_; stride <<= 1) {
+    in_bank_slots_.push_back({all, side_mask(rows_per_bank_, stride, true),
+                              side_mask(rows_per_bank_, stride, false)});
+  }
+  cross_bank_slots_ = {SlotTable{all, all, pim::RowMask()},
+                       SlotTable{all, pim::RowMask(), all}};
 }
 
 pim::FixedFunctionSwitch CryptoPimSimulator::make_switch(
@@ -259,23 +336,17 @@ pim::FixedFunctionSwitch CryptoPimSimulator::make_switch(
   return sw;
 }
 
-void CryptoPimSimulator::attach_obs(PolyState& st) const {
-  // Softbank (B-path) stages run concurrently with the A-path stage that
-  // preceded them in program order; start their spans at that stage's
-  // begin cycle so the timeline shows the overlap.
-  const std::uint32_t track_base = wall_enabled_ ? 0 : kSoftbankTrackBase;
-  std::uint64_t base = report_.wall_cycles;
-  if (!wall_enabled_ && !report_.stage_cycles.empty()) {
-    base -= report_.stage_cycles.back();
-  }
+void CryptoPimSimulator::attach_obs(PolyState& st, bool wall) const {
+  const std::uint32_t track_base = wall ? 0 : kSoftbankTrackBase;
   for (unsigned b = 0; b < banks_; ++b) {
     st.banks[b].exec->set_tracer(active_tracer_, track_base + b);
-    st.banks[b].exec->set_trace_base(base);
+    st.banks[b].exec->set_trace_base(report_.wall_cycles);
   }
 }
 
 void CryptoPimSimulator::accumulate(PolyState& st,
-                                    const std::string& stage_name) {
+                                    const std::string& stage_name,
+                                    obs::Counter* kind_cycles, bool wall) {
   pim::ExecStats stage_total;
   for (auto& bank : st.banks) {
     stage_total += bank.exec->stats();
@@ -290,7 +361,7 @@ void CryptoPimSimulator::accumulate(PolyState& st,
       active_tracer_->emit(e.trace_track(), stage_name, "stage", begin,
                            e.stats().cycles);
     }
-    if (wall_enabled_) {
+    if (wall) {
       active_tracer_->emit(kPipelineTrack, stage_name, "stage",
                            report_.wall_cycles,
                            st.banks[0].exec->stats().cycles);
@@ -299,19 +370,17 @@ void CryptoPimSimulator::accumulate(PolyState& st,
 #endif
 
   // Metrics: per-stage-kind cycle counters plus the ExecStats facade.
-  const std::string kind = stage_name.substr(0, stage_name.find('/'));
-  active_metrics_->counter("cryptopim.sim.cycles." + kind, "cycles")
-      .add(st.banks[0].exec->stats().cycles);
-  active_metrics_->counter("cryptopim.sim.stages", "stages").add(1);
-  stage_total.publish(*active_metrics_);
+  const StageMetrics& m = *stage_metrics_;
+  kind_cycles->add(st.banks[0].exec->stats().cycles);
+  m.stages->add(1);
+  stage_total.publish(m.exec);
 
   // Banks run in lock-step, so the critical path is one bank's cycles.
   // B's softbank runs concurrently with A's: its stages cost energy but
-  // no wall time (wall_enabled_ toggled around B's stage calls).
-  if (wall_enabled_) {
+  // no wall time.
+  if (wall) {
     const std::uint64_t cycles = st.banks[0].exec->stats().cycles;
-    active_metrics_->histogram("cryptopim.sim.stage_cycles", "cycles")
-        .add(cycles);
+    m.stage_cycles->add(cycles);
     report_.wall_cycles += cycles;
     report_.stage_cycles.push_back(cycles);
     report_.stage_names.push_back(stage_name);
@@ -334,122 +403,132 @@ void CryptoPimSimulator::load_input(PolyState& st, const ntt::Poly& p) const {
   }
 }
 
-void CryptoPimSimulator::stage_scale(
-    std::unique_ptr<PolyState>& st,
-    const std::vector<std::uint64_t>& factors_by_row) {
-  auto next = make_state();
-  attach_obs(*next);
-  const pim::FixedFunctionSwitch sw = make_switch(0);
-  const std::array<pim::RowMask, 1> slots = {
-      pim::RowMask::first_rows(rows_per_bank_)};
+void CryptoPimSimulator::load_factors(
+    PolyState& st, const std::vector<pim::ColumnBits>& images) const {
   for (unsigned b = 0; b < banks_; ++b) {
-    auto& src = st->banks[b];
-    auto& e = *next->banks[b].exec;
-    sw.transfer(src.block, st->own(*src.exec), src.exec->mask(), e,
-                next->own(e), pim::FixedFunctionSwitch::Route::kStraight);
-    // Pre-computed factors live in the block's data columns.
-    e.host_write(next->twiddle(e),
-                 std::span(factors_by_row)
-                     .subspan(b * pim::kBlockRows, rows_per_bank_));
-    e.replay(*scale_prog_, slots);
+    auto& e = *st.banks[b].exec;
+    e.host_write_columns(st.twiddle(e),
+                         std::span(images).subspan(b * width_, width_));
   }
-  accumulate(*next, "scale");
-  st = std::move(next);
 }
 
-void CryptoPimSimulator::stage_butterfly(
-    std::unique_ptr<PolyState>& st, std::uint32_t stride,
-    const std::vector<std::uint64_t>& twiddle_by_high_row) {
-  auto next = make_state();
-  attach_obs(*next);
+std::vector<std::unique_ptr<CryptoPimSimulator::PolyState>>
+CryptoPimSimulator::open_stage(std::span<const Leg> legs) {
+  std::vector<std::unique_ptr<PolyState>> next;
+  next.reserve(legs.size());
+  for (const Leg& leg : legs) {
+    next.push_back(acquire_state());
+    attach_obs(*next.back(), leg.wall);
+  }
+  return next;
+}
 
-  // Mask-slot table (see compile()): 0 = all rows, 1 = high side, 2 =
-  // low side.
-  const pim::RowMask all = pim::RowMask::first_rows(rows_per_bank_);
-  std::array<pim::RowMask, 3> slots = {all, pim::RowMask(), pim::RowMask()};
+void CryptoPimSimulator::close_stage(
+    std::span<const Leg> legs, std::vector<std::unique_ptr<PolyState>>& next,
+    const std::string& name, obs::Counter* kind_cycles) {
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    accumulate(*next[i], name, kind_cycles, legs[i].wall);
+    release_state(std::move(*legs[i].st));
+    *legs[i].st = std::move(next[i]);
+  }
+}
 
-  // --- transfers through the fixed-function switches -----------------------
+void CryptoPimSimulator::stage_scale(std::span<const Leg> legs) {
+  auto next = open_stage(legs);
+  const pim::FixedFunctionSwitch sw = make_switch(0);
+  std::vector<pim::ReplayLane> lanes;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    PolyState& cur = **legs[i].st;
+    for (unsigned b = 0; b < banks_; ++b) {
+      auto& src = cur.banks[b];
+      auto& e = *next[i]->banks[b].exec;
+      sw.transfer(src.block, cur.own(*src.exec), src.exec->mask(), e,
+                  next[i]->own(e), pim::FixedFunctionSwitch::Route::kStraight);
+      lanes.push_back({&e, all_rows_});
+    }
+    // Pre-computed factors live in the block's data columns.
+    load_factors(*next[i], *legs[i].factors);
+  }
+  pim::BlockExecutor::replay(*scale_prog_, lanes);
+  close_stage(legs, next, "scale", stage_metrics_->cycles_scale);
+}
+
+void CryptoPimSimulator::stage_butterfly(std::uint32_t stride,
+                                         std::span<const Leg> legs) {
+  auto next = open_stage(legs);
   const bool in_bank = stride < rows_per_bank_;
   const unsigned ds =
       in_bank ? 0u : stride / static_cast<unsigned>(rows_per_bank_);
-  if (in_bank) {
-    const pim::FixedFunctionSwitch sw = make_switch(stride);
-    slots[1] = side_mask(rows_per_bank_, stride, true);
-    slots[2] = side_mask(rows_per_bank_, stride, false);
+  // Bank b's mask table (see compile() for the slot convention).
+  const auto slots = [&](unsigned b) -> const SlotTable& {
+    return in_bank ? in_bank_slots_[ilog2(stride)]
+                   : cross_bank_slots_[(b & ds) != 0 ? 0 : 1];
+  };
+
+  // --- transfers through the fixed-function switches -----------------------
+  // Leg by leg (A before B), so the fault hooks' per-bit draws come in
+  // the same order as when the softbanks ran one after the other.
+  const pim::FixedFunctionSwitch sw = make_switch(in_bank ? stride : 0);
+  std::vector<pim::ReplayLane> lanes;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    PolyState& cur = **legs[i].st;
+    PolyState& nx = *next[i];
     for (unsigned b = 0; b < banks_; ++b) {
-      auto& src = st->banks[b];
-      auto& dst = next->banks[b];
-      sw.transfer(src.block, st->own(*src.exec), src.exec->mask(), *dst.exec,
-                  next->own(*dst.exec),
-                  pim::FixedFunctionSwitch::Route::kStraight);
-      // Low rows feed their +s neighbours; high rows feed -s.
-      sw.transfer(src.block, st->own(*src.exec), slots[2], *dst.exec,
-                  next->partner(*dst.exec),
-                  pim::FixedFunctionSwitch::Route::kPlusS);
-      sw.transfer(src.block, st->own(*src.exec), slots[1], *dst.exec,
-                  next->partner(*dst.exec),
-                  pim::FixedFunctionSwitch::Route::kMinusS);
+      auto& src = cur.banks[b];
+      auto& dst = *nx.banks[b].exec;
+      sw.transfer(src.block, cur.own(*src.exec), src.exec->mask(), dst,
+                  nx.own(dst), pim::FixedFunctionSwitch::Route::kStraight);
+      if (in_bank) {
+        // Low rows feed their +s neighbours; high rows feed -s.
+        sw.transfer(src.block, cur.own(*src.exec), slots(b)[2], dst,
+                    nx.partner(dst), pim::FixedFunctionSwitch::Route::kPlusS);
+        sw.transfer(src.block, cur.own(*src.exec), slots(b)[1], dst,
+                    nx.partner(dst), pim::FixedFunctionSwitch::Route::kMinusS);
+      } else {
+        // Stride crosses banks: the partner sits in the paired bank at the
+        // same row; inter-bank switches provide the straight connection.
+        auto& src_partner = cur.banks[b ^ ds];
+        sw.transfer(src_partner.block, cur.own(*src_partner.exec),
+                    src_partner.exec->mask(), dst, nx.partner(dst),
+                    pim::FixedFunctionSwitch::Route::kStraight);
+      }
+      lanes.push_back({&dst, slots(b)});
     }
-  } else {
-    // Stride crosses banks: the partner sits in the paired bank at the
-    // same row; inter-bank switches provide the straight connection.
-    const pim::FixedFunctionSwitch sw = make_switch(0);
-    for (unsigned b = 0; b < banks_; ++b) {
-      auto& dst = next->banks[b];
-      auto& src_own = st->banks[b];
-      sw.transfer(src_own.block, st->own(*src_own.exec), src_own.exec->mask(),
-                  *dst.exec, next->own(*dst.exec),
-                  pim::FixedFunctionSwitch::Route::kStraight);
-      auto& src_partner = st->banks[b ^ ds];
-      sw.transfer(src_partner.block, st->own(*src_partner.exec),
-                  src_partner.exec->mask(), *dst.exec,
-                  next->partner(*dst.exec),
-                  pim::FixedFunctionSwitch::Route::kStraight);
-    }
+    // Twiddles for the high rows (pre-computed factors, Montgomery form).
+    load_factors(nx, *legs[i].factors);
   }
 
   // --- compute --------------------------------------------------------------
-  // The stage microcode is identical for every bank (lock-step); the
-  // per-bank mask table selects which rows each phase drives.
-  for (unsigned b = 0; b < banks_; ++b) {
-    auto& e = *next->banks[b].exec;
-    if (!in_bank) {
-      const bool bank_is_high = (b & ds) != 0;
-      slots[1] = bank_is_high ? all : pim::RowMask();
-      slots[2] = bank_is_high ? pim::RowMask() : all;
-    }
-    // Twiddles for the high rows (pre-computed factors, Montgomery form).
-    e.host_write(next->twiddle(e),
-                 std::span(twiddle_by_high_row)
-                     .subspan(b * pim::kBlockRows, rows_per_bank_));
-    e.replay(*butterfly_prog_, slots);
-  }
-
-  accumulate(*next, butterfly_name(stride));
-  st = std::move(next);
+  // The stage microcode is identical for every bank and both softbanks
+  // (lock-step); the per-bank mask table selects which rows each phase
+  // drives.
+  pim::BlockExecutor::replay(*butterfly_prog_, lanes);
+  close_stage(legs, next, butterfly_name(stride),
+              stage_metrics_->cycles_butterfly);
 }
 
 void CryptoPimSimulator::stage_pointwise(std::unique_ptr<PolyState>& a,
                                          std::unique_ptr<PolyState>& b) {
-  auto next = make_state();
-  attach_obs(*next);
+  const Leg leg{&a, nullptr, true};
+  auto next = open_stage({&leg, 1});
+  PolyState& nx = *next[0];
   const pim::FixedFunctionSwitch sw = make_switch(0);
-  const std::array<pim::RowMask, 1> slots = {
-      pim::RowMask::first_rows(rows_per_bank_)};
+  std::vector<pim::ReplayLane> lanes;
   for (unsigned k = 0; k < banks_; ++k) {
-    auto& e = *next->banks[k].exec;
+    auto& e = *nx.banks[k].exec;
     sw.transfer(a->banks[k].block, a->own(*a->banks[k].exec),
-                a->banks[k].exec->mask(), e, next->own(e),
+                a->banks[k].exec->mask(), e, nx.own(e),
                 pim::FixedFunctionSwitch::Route::kStraight);
     // B arrives through the inter-softbank switch.
     sw.transfer(b->banks[k].block, b->own(*b->banks[k].exec),
-                b->banks[k].exec->mask(), e, next->partner(e),
+                b->banks[k].exec->mask(), e, nx.partner(e),
                 pim::FixedFunctionSwitch::Route::kStraight);
-    e.replay(*pointwise_prog_, slots);
+    lanes.push_back({&e, all_rows_});
   }
-  accumulate(*next, "pointwise");
-  a = std::move(next);
-  b.reset();
+  pim::BlockExecutor::replay(*pointwise_prog_, lanes);
+  close_stage({&leg, 1}, next, "pointwise",
+              stage_metrics_->cycles_pointwise);
+  release_state(std::move(b));
 }
 
 ntt::Poly CryptoPimSimulator::multiply_attempt(const ntt::Poly& a,
@@ -458,22 +537,22 @@ ntt::Poly CryptoPimSimulator::multiply_attempt(const ntt::Poly& a,
   stage_counter_ = 0;
   const unsigned bits = params_.log2n;
 
-  auto A = make_state();
-  auto B = make_state();
+  auto A = acquire_state();
+  auto B = acquire_state();
   load_input(*A, a);
   load_input(*B, b);
 
-  stage_scale(A, rows_.scale_a);
-  wall_enabled_ = false;
-  stage_scale(B, rows_.scale_b);
-  wall_enabled_ = true;
+  // The input scales and the forward NTT run A and B in lock-step: one
+  // replay per stage drives both softbanks.
+  const std::array<Leg, 2> scale_in = {Leg{&A, &images_.scale_a, true},
+                                       Leg{&B, &images_.scale_b, false}};
+  stage_scale(scale_in);
 
   // Forward NTT, strides 1 .. n/2 (bit-reversed input loaded above).
   for (unsigned k = 0; k < bits; ++k) {
-    stage_butterfly(A, 1u << k, rows_.forward[k]);
-    wall_enabled_ = false;
-    stage_butterfly(B, 1u << k, rows_.forward[k]);
-    wall_enabled_ = true;
+    const std::array<Leg, 2> legs = {Leg{&A, &images_.forward[k], true},
+                                     Leg{&B, &images_.forward[k], false}};
+    stage_butterfly(1u << k, legs);
   }
 
   stage_pointwise(A, B);
@@ -481,10 +560,12 @@ ntt::Poly CryptoPimSimulator::multiply_attempt(const ntt::Poly& a,
   // Inverse NTT, strides n/2 .. 1 (conjugate schedule, no mid-pipeline
   // bit-reversal).
   for (unsigned k = bits; k-- > 0;) {
-    stage_butterfly(A, 1u << k, rows_.inverse[k]);
+    const Leg leg{&A, &images_.inverse[k], true};
+    stage_butterfly(1u << k, {&leg, 1});
   }
 
-  stage_scale(A, rows_.scale_out);
+  const Leg out{&A, &images_.scale_out, true};
+  stage_scale({&out, 1});
 
   // Read out: the bit-reversal at read is a host-side permutation.
   ntt::Poly c(params_.n, 0);
@@ -496,6 +577,7 @@ ntt::Poly CryptoPimSimulator::multiply_attempt(const ntt::Poly& a,
       c[bit_reverse(g, bits)] = static_cast<std::uint32_t>(vals[r]);
     }
   }
+  release_state(std::move(A));
 
   report_.latency_us =
       static_cast<double>(report_.wall_cycles) * device_.cycle_ns * 1e-3;
@@ -514,11 +596,11 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
   for (const auto c : b) {
     if (c >= params_.q) throw std::invalid_argument("coefficient >= q");
   }
-  if (rows_.scale_a.empty()) build_factor_rows();
-  if (scale_prog_ == nullptr) compile();
-
   active_metrics_ =
       custom_metrics_ != nullptr ? custom_metrics_ : &obs::metrics();
+  if (images_.scale_a.empty()) build_factor_rows();
+  if (scale_prog_ == nullptr) compile();
+  stage_metrics_ = std::make_unique<StageMetrics>(*active_metrics_);
   obs::Tracer& tr = custom_tracer_ != nullptr ? *custom_tracer_ : obs::tracer();
   active_tracer_ = (CRYPTOPIM_TRACING && tr.enabled()) ? &tr : nullptr;
   if (active_tracer_ != nullptr) {

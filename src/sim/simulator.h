@@ -22,8 +22,10 @@
 //    the Fig. 4(c) stage grouping.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +69,7 @@ class CryptoPimSimulator {
   explicit CryptoPimSimulator(
       const ntt::NttParams& params,
       pim::DeviceModel device = pim::DeviceModel::paper_45nm());
+  ~CryptoPimSimulator();  // out of line: PolyState is private to the .cc
 
   /// c = a * b over Z_q[x]/(x^n + 1), computed entirely in simulated
   /// memory. Coefficients must be canonical in [0, q).
@@ -106,17 +109,26 @@ class CryptoPimSimulator {
   // degrade). Non-owning; nullptr (the default) keeps the exact
   // reliability-free execution and cycle accounting. The manager's spare
   // columns change the column allocator, so the stage microcode is
-  // recompiled on the next multiply().
-  void set_reliability(reliability::ReliabilityManager* rm) noexcept {
-    rel_ = rm;
-    scale_prog_.reset();
-  }
+  // recompiled on the next multiply(), and the pooled stage banks are
+  // dropped.
+  void set_reliability(reliability::ReliabilityManager* rm) noexcept;
   reliability::ReliabilityManager* reliability_manager() const noexcept {
     return rel_;
   }
 
  private:
   struct PolyState;
+  /// One softbank's side of a lock-step stage: the state it consumes, the
+  /// factor images its twiddle columns load, and whether it is the wall
+  /// (A) path or the concurrent softbank (B) path.
+  struct Leg {
+    std::unique_ptr<PolyState>* st;
+    const std::vector<pim::ColumnBits>* factors;
+    bool wall;
+  };
+  /// Mask table of one bank: slot 0 = all rows, 1 = butterfly high side,
+  /// 2 = low side.
+  using SlotTable = std::array<pim::RowMask, 3>;
 
   /// One full non-pipelined multiplication (one attempt). Fills report_.
   ntt::Poly multiply_attempt(const ntt::Poly& a, const ntt::Poly& b);
@@ -125,31 +137,61 @@ class CryptoPimSimulator {
   /// bank laid out like a fresh stage bank, and registers them under
   /// every stage of the schedule in microcode_.
   void compile();
-  /// Builds the per-row factor and twiddle tables (once per simulator).
+  /// Builds the bit-column images of the per-row factor and twiddle
+  /// tables and the butterfly mask tables (once per simulator).
   void build_factor_rows();
 
-  std::unique_ptr<PolyState> make_state();
+  /// A stage state at power-on: taken from the pool (or made), every
+  /// bank block reset, prepared by the reliability manager under the next
+  /// stage_counter_, and given a fresh executor.
+  std::unique_ptr<PolyState> acquire_state();
+  void release_state(std::unique_ptr<PolyState> st);
   /// Pins the stage data regions (and the reliability spare pool) out of
   /// a fresh bank executor's column allocator.
   void reserve_regions(pim::BlockExecutor& exec) const;
   pim::FixedFunctionSwitch make_switch(unsigned stride) const;
   void load_input(PolyState& st, const ntt::Poly& p) const;
+  /// Copies bank b's slice of `images` into every bank's twiddle columns.
+  void load_factors(PolyState& st,
+                    const std::vector<pim::ColumnBits>& images) const;
 
-  // Stage drivers. Each consumes `cur`, produces a fresh stage array,
-  // replays the stage's compiled program on every bank and accumulates
-  // stats into report_.
-  void stage_scale(std::unique_ptr<PolyState>& st,
-                   const std::vector<std::uint64_t>& factors_by_row);
-  void stage_butterfly(std::unique_ptr<PolyState>& st, std::uint32_t stride,
-                       const std::vector<std::uint64_t>& twiddle_by_high_row);
+  // Stage drivers. Each consumes its legs' states, produces fresh ones,
+  // replays the stage's compiled program once with every bank of every
+  // leg a lane, and accumulates stats into report_ (A before B).
+  void stage_scale(std::span<const Leg> legs);
+  void stage_butterfly(std::uint32_t stride, std::span<const Leg> legs);
   void stage_pointwise(std::unique_ptr<PolyState>& a,
                        std::unique_ptr<PolyState>& b);
+  /// Acquires every leg's next state, in leg order, with its trace
+  /// track and base attached.
+  std::vector<std::unique_ptr<PolyState>> open_stage(
+      std::span<const Leg> legs);
+  /// Accumulates every leg's next state under `name`, returns the
+  /// consumed states to the pool and moves each leg onto its next state.
+  void close_stage(std::span<const Leg> legs,
+                   std::vector<std::unique_ptr<PolyState>>& next,
+                   const std::string& name, obs::Counter* kind_cycles);
 
-  /// Attaches tracer/track/base-cycle to a freshly made stage state
-  /// (track block depends on whether we are on the wall (A) or softbank
-  /// (B) path).
-  void attach_obs(PolyState& st) const;
-  void accumulate(PolyState& st, const std::string& stage_name);
+  /// Attaches tracer, track and base cycle to a freshly acquired stage
+  /// state: bank tracks on the wall (A) path, softbank tracks on B. Both
+  /// paths of a stage start where the wall path's stage starts, so the
+  /// timeline shows the overlap.
+  void attach_obs(PolyState& st, bool wall) const;
+  /// Registry entries the stage accounting writes, looked up once per
+  /// multiply() in its registry.
+  struct StageMetrics {
+    explicit StageMetrics(obs::MetricsRegistry& reg);
+    pim::ExecMetrics exec;
+    obs::Counter* stages;
+    obs::Counter* cycles_scale;
+    obs::Counter* cycles_butterfly;
+    obs::Counter* cycles_pointwise;
+    obs::Histogram* stage_cycles;
+  };
+  /// Folds a finished stage state into report_, the trace and the
+  /// metrics; `kind_cycles` is its stage kind's cycle counter.
+  void accumulate(PolyState& st, const std::string& stage_name,
+                  obs::Counter* kind_cycles, bool wall);
 
   ntt::NttParams params_;
   pim::DeviceModel device_;
@@ -159,7 +201,6 @@ class CryptoPimSimulator {
   unsigned banks_ = 1;
   std::size_t rows_per_bank_ = 0;
   unsigned width_ = 0;  ///< datapath bit-width
-  bool wall_enabled_ = true;
   reliability::ReliabilityManager* rel_ = nullptr;
   /// Stage states materialised so far this attempt — the physical block
   /// index the fault model keys endurance failures on.
@@ -170,20 +211,30 @@ class CryptoPimSimulator {
   std::shared_ptr<const pim::Program> scale_prog_, butterfly_prog_,
       pointwise_prog_;
   pim::Controller microcode_;
-  // Per-row constants each stage writes into its twiddle columns:
+  // Bit-column images of the per-row constants each stage writes into
+  // its twiddle columns, banks_ x width_ columns each (bank-major):
   // psi-scale factors for A (plain) and B (entering the Montgomery
   // domain), the final n^{-1} psi^{-i} scale, and the forward/inverse
   // twiddles of every butterfly level (index log2(stride)).
-  struct FactorRows {
-    std::vector<std::uint64_t> scale_a, scale_b, scale_out;
-    std::vector<std::vector<std::uint64_t>> forward, inverse;
+  struct FactorImages {
+    std::vector<pim::ColumnBits> scale_a, scale_b, scale_out;
+    std::vector<std::vector<pim::ColumnBits>> forward, inverse;
   };
-  FactorRows rows_;
+  FactorImages images_;
+  // Mask tables: every row (scale, pointwise), each in-bank butterfly
+  // stride (index log2(stride)), and a cross-bank stride's high and low
+  // banks.
+  std::array<pim::RowMask, 1> all_rows_;
+  std::vector<SlotTable> in_bank_slots_;
+  std::array<SlotTable, 2> cross_bank_slots_;
+  /// Stage states at rest (regions reserved), reset on acquire.
+  std::vector<std::unique_ptr<PolyState>> pool_;
   obs::Tracer* custom_tracer_ = nullptr;
   obs::MetricsRegistry* custom_metrics_ = nullptr;
   // Resolved per multiply(): nullptr when tracing is off for the run.
   obs::Tracer* active_tracer_ = nullptr;
   obs::MetricsRegistry* active_metrics_ = nullptr;
+  std::unique_ptr<StageMetrics> stage_metrics_;
 };
 
 }  // namespace cryptopim::sim

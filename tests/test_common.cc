@@ -80,6 +80,73 @@ TEST(Rng, NextBelowInRangeAndWellSpread) {
   }
 }
 
+// The division-per-draw sampler BoundedUniform replaced: the reference
+// its values and stream position must match draw for draw.
+std::uint64_t next_below_by_division(Xoshiro256& rng, std::uint64_t bound) {
+  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+  std::uint64_t v = rng.next();
+  while (v >= limit) v = rng.next();
+  return v % bound;
+}
+
+void expect_same_stream(std::uint64_t bound, std::size_t draws,
+                        std::uint64_t seed) {
+  Xoshiro256 ref(seed), got(seed), one(seed);
+  const BoundedUniform below(bound);
+  for (std::size_t i = 0; i < draws; ++i) {
+    const std::uint64_t want = next_below_by_division(ref, bound);
+    ASSERT_EQ(below(got), want) << "bound " << bound << " draw " << i;
+    ASSERT_EQ(one.next_below(bound), want) << "bound " << bound;
+  }
+  EXPECT_EQ(got.digest(), ref.digest()) << "bound " << bound;
+  EXPECT_EQ(one.digest(), ref.digest()) << "bound " << bound;
+}
+
+TEST(Rng, BoundedUniformMatchesDivisionOnPaperModuli) {
+  // Every paper modulus, one million draws each.
+  for (const std::uint64_t q : {7681u, 12289u, 786433u}) {
+    expect_same_stream(q, 1u << 20, q);
+  }
+}
+
+TEST(Rng, BoundedUniformMatchesDivisionOnSmallAndWideBounds) {
+  // Small bounds (one million draws in all), and wide ones where the
+  // rejection limit and the quotient estimate sit at their extremes.
+  for (std::uint64_t bound = 1; bound <= 64; ++bound) {
+    expect_same_stream(bound, 1u << 14, bound * 977);
+  }
+  for (const std::uint64_t bound :
+       {(std::uint64_t{1} << 32) + 15, (std::uint64_t{1} << 63) - 1,
+        std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 5,
+        ~std::uint64_t{0} - 1, ~std::uint64_t{0}}) {
+    expect_same_stream(bound, 1u << 12, bound ^ 0x5eed);
+  }
+}
+
+TEST(Rng, BoundedUniformRemainderIsExact) {
+  // The reciprocal remainder on the values next to every multiple of the
+  // bound, where a quotient estimate off by one would show.
+  Xoshiro256 rng(77);
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{7681}, std::uint64_t{12289}, std::uint64_t{786433},
+        std::uint64_t{1} << 40, (std::uint64_t{1} << 63) + 5,
+        ~std::uint64_t{0}}) {
+    const BoundedUniform below(bound);
+    for (const std::uint64_t v : {std::uint64_t{0}, ~std::uint64_t{0},
+                                  ~std::uint64_t{0} - 1, bound - 1, bound,
+                                  bound + 1}) {
+      EXPECT_EQ(below.mod(v), v % bound) << bound << " " << v;
+    }
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t k = rng.next() / bound;
+      for (const std::uint64_t v : {k * bound, k * bound - 1, rng.next()}) {
+        ASSERT_EQ(below.mod(v), v % bound) << bound << " " << v;
+      }
+    }
+  }
+}
+
 TEST(Rng, NextBitsMasks) {
   Xoshiro256 rng(10);
   for (int i = 0; i < 100; ++i) {

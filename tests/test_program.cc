@@ -21,6 +21,13 @@ std::vector<std::uint64_t> random_values(std::size_t n, unsigned bits,
   return v;
 }
 
+// A one-block replay is a one-lane lock-step replay.
+void replay_one(BlockExecutor& exec, const Program& prog,
+                std::span<const RowMask> slots) {
+  const ReplayLane lane{&exec, slots};
+  BlockExecutor::replay(prog, {&lane, 1});
+}
+
 TEST(Program, RecordsIssuedOps) {
   MemoryBlock blk;
   BlockExecutor exec(blk, RowMask::all());
@@ -68,7 +75,7 @@ TEST(Program, ReplayIsBitExactOnAnotherBlock) {
   e1.host_write(e1.contiguous(8, 16), vals_a);
   e1.host_write(e1.contiguous(24, 16), vals_b);
   const std::vector<RowMask> slots = {RowMask::all()};
-  e1.replay(prog, slots);
+  replay_one(e1, prog, slots);
 
   const auto out = e1.host_read(result_cols);
   for (std::size_t r = 0; r < kBlockRows; ++r) {
@@ -91,7 +98,7 @@ TEST(Program, ReplayChargesSameCycles) {
   const auto recorded_cycles = prog.cycles();
   e1.reset_stats();
   const std::vector<RowMask> slots = {RowMask::all()};
-  e1.replay(prog, slots);
+  replay_one(e1, prog, slots);
   EXPECT_EQ(e1.stats().cycles, recorded_cycles);
 }
 
@@ -120,7 +127,7 @@ TEST(Program, MaskSlotsSelectRowsAtReplay) {
   for (std::size_t r = 0; r < 4; ++r) low.set(r, true);
   for (std::size_t r = 4; r < 8; ++r) high.set(r, true);
   const std::vector<RowMask> slots = {RowMask::first_rows(8), low, high};
-  exec.replay(prog, slots);
+  replay_one(exec, prog, slots);
   for (std::size_t r = 0; r < 4; ++r) EXPECT_TRUE(blk.column(dst).get(r));
   for (std::size_t r = 4; r < 8; ++r) EXPECT_FALSE(blk.column(dst).get(r));
 }
