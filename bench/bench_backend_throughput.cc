@@ -6,7 +6,11 @@
 // engine and the analytic model. For each tier we report host req/s
 // (host_* metrics: wall-clock, excluded from the committed baselines)
 // and the simulated per-op cycle accounting plus verified-equal counts
-// (deterministic, baseline-gated via tools/bench_compare).
+// (deterministic, baseline-gated via tools/bench_compare). Each tier's
+// wall-clock is the best of kWindows timing windows, each on a fresh
+// backend (so every gate window includes its microcode compile): one
+// preempted window cannot sink the tier-over-tier ratio, and both sides
+// of the ratio are treated alike.
 //
 // Acceptance gates — the bench exits non-zero if any fails:
 //   1. every gate and word product equals the software oracle
@@ -76,31 +80,37 @@ int main() {
   };
   std::map<std::string, TierResult> tiers;
 
+  constexpr int kWindows = 5;
   for (const auto& name : cp::runtime::backend_names()) {
-    auto backend = cp::runtime::make_backend(name);
     // The word and analytic tiers finish the mix in well under a
     // millisecond; repeat it to get a stable wall-clock rate.
     const std::size_t rounds = name == "gate" ? 1 : 50;
     TierResult res;
-    const double t0 = now_ms();
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (const auto& op : ops) {
-        const auto out = backend->execute(op.params, op.a, op.b);
-        if (r == 0) {
-          if (backend->functional() && out.product == op.expect) {
-            res.verified_equal += 1;
+    bool functional = false;
+    for (int w = 0; w < kWindows; ++w) {
+      auto backend = cp::runtime::make_backend(name);
+      functional = backend->functional();
+      const double t0 = now_ms();
+      for (std::size_t r = 0; r < rounds; ++r) {
+        for (const auto& op : ops) {
+          const auto out = backend->execute(op.params, op.a, op.b);
+          if (w == 0 && r == 0) {
+            if (functional && out.product == op.expect) {
+              res.verified_equal += 1;
+            }
+            res.cycles_by_degree[op.params.n] = out.sim_cycles;
           }
-          res.cycles_by_degree[op.params.n] = out.sim_cycles;
         }
       }
+      const double ms = now_ms() - t0;
+      if (w == 0 || ms < res.ms) res.ms = ms;
     }
-    res.ms = now_ms() - t0;
     res.req_per_s =
         static_cast<double>(ops.size() * rounds) / (res.ms / 1e3);
     tiers[name] = res;
 
     // Deterministic metrics: baseline-gated.
-    if (backend->functional()) {
+    if (functional) {
       rep.add("verified_equal", static_cast<double>(res.verified_equal),
               "requests", {{"backend", name}});
     }
@@ -113,9 +123,9 @@ int main() {
     rep.add("host_wall_ms", res.ms, "ms", {{"backend", name}});
 
     std::cout << name << ": " << static_cast<std::uint64_t>(res.req_per_s)
-              << " req/s host (" << res.ms << " ms for "
-              << ops.size() * rounds << " ops)"
-              << (backend->functional()
+              << " req/s host (best of " << kWindows << " windows: "
+              << res.ms << " ms for " << ops.size() * rounds << " ops)"
+              << (functional
                       ? ", verified-equal " +
                             std::to_string(res.verified_equal) + "/" +
                             std::to_string(ops.size())

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "obs/metrics.h"
 #include "pim/program.h"
 
 namespace cryptopim::pim {
@@ -27,21 +26,6 @@ void transpose64(std::array<Word, 64>& t) noexcept {
 }
 
 }  // namespace
-
-ExecMetrics::ExecMetrics(obs::MetricsRegistry& reg)
-    : cycles(&reg.counter("cryptopim.exec.cycles", "cycles")),
-      micro_ops(&reg.counter("cryptopim.exec.micro_ops", "ops")),
-      cell_events(&reg.counter("cryptopim.exec.cell_events", "events")),
-      transfer_bits(&reg.counter("cryptopim.switch.transfer_bits", "bits")),
-      cols_peak(&reg.histogram("cryptopim.exec.cols_peak", "columns")) {}
-
-void ExecStats::publish(const ExecMetrics& m) const {
-  m.cycles->add(cycles);
-  m.micro_ops->add(micro_ops);
-  m.cell_events->add(cell_events);
-  m.transfer_bits->add(transfer_bits);
-  m.cols_peak->add(cols_peak);
-}
 
 BlockExecutor::BlockExecutor(MemoryBlock& block, const RowMask& mask,
                              DeviceModel device)
@@ -71,14 +55,9 @@ void BlockExecutor::reset() {
   tracer_ = nullptr;
   trace_track_ = 0;
   trace_base_ = 0;
-  metrics_ = nullptr;
   // Establish the constant rails. Power-on state is all-zero, so only the
   // one-rail needs a SET.
   set1(kOneCol);
-}
-
-obs::MetricsRegistry& BlockExecutor::metrics() const noexcept {
-  return metrics_ != nullptr ? *metrics_ : obs::metrics();
 }
 
 Col BlockExecutor::alloc_col() {

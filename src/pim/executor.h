@@ -20,12 +20,6 @@
 #include "pim/gate_kernels.h"
 #include "pim/isa.h"
 
-namespace cryptopim::obs {
-class Counter;
-class Histogram;
-class MetricsRegistry;
-}
-
 namespace cryptopim::pim {
 
 class Program;  // pim/program.h
@@ -68,22 +62,7 @@ class Operand {
   std::vector<Col> cols_;
 };
 
-/// The registry entries ExecStats::publish writes, looked up once: a
-/// registry's entries stay put until it is reset.
-struct ExecMetrics {
-  explicit ExecMetrics(obs::MetricsRegistry& reg);
-  obs::Counter* cycles;
-  obs::Counter* micro_ops;
-  obs::Counter* cell_events;
-  obs::Counter* transfer_bits;
-  obs::Histogram* cols_peak;
-};
-
 /// Cycle/energy accounting for one block (or one chained program).
-///
-/// This struct is the fast per-block ledger; for run-level observation it
-/// is a facade over the metrics registry — publish() mirrors the counters
-/// under `cryptopim.exec.*` (see src/obs/metrics.h).
 struct ExecStats {
   std::uint64_t cycles = 0;       ///< crossbar cycles consumed
   std::uint64_t micro_ops = 0;    ///< gate evaluations issued
@@ -103,10 +82,6 @@ struct ExecStats {
     if (o.cols_peak > cols_peak) cols_peak = o.cols_peak;
     return *this;
   }
-
-  /// Mirrors the ledger into the registry as `cryptopim.exec.<field>`
-  /// counters (cols_peak as a histogram sample).
-  void publish(const ExecMetrics& m) const;
 };
 
 class BlockExecutor {
@@ -118,7 +93,7 @@ class BlockExecutor {
 
   /// Back to the state after construction and reserve_region() on the
   /// same block and mask: every column outside the rails and the reserved
-  /// regions free, stats zero, recording, tracer and metrics detached, and
+  /// regions free, stats zero, recording and tracer detached, and
   /// the one-rail SET again (charged, fault-checked).
   void reset();
 
@@ -232,12 +207,6 @@ class BlockExecutor {
   void set_record_slot(std::uint8_t slot) noexcept { record_slot_ = slot; }
   std::uint8_t record_slot() const noexcept { return record_slot_; }
 
-  // -- metrics ---------------------------------------------------------------
-  /// Registry for circuit-level samples (cryptopim.reduce.*); nullptr
-  /// (the default) is the process-global obs::metrics().
-  void set_metrics(obs::MetricsRegistry* reg) noexcept { metrics_ = reg; }
-  obs::MetricsRegistry& metrics() const noexcept;
-
   // -- host I/O (write drivers; not charged as compute cycles) --------------
   /// Write one value per active row into `op` (bit i -> op.col(i)).
   void host_write(const Operand& op, std::span<const std::uint64_t> values);
@@ -276,7 +245,6 @@ class BlockExecutor {
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t trace_track_ = 0;
   std::uint64_t trace_base_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 /// RAII span on an executor's track, in cycle time:

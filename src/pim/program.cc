@@ -31,17 +31,6 @@ std::size_t Controller::add_stage(std::string name,
   return stages_.size() - 1;
 }
 
-void Controller::run_stage(
-    std::size_t id, std::span<BlockExecutor* const> banks,
-    std::span<const std::vector<RowMask>> mask_tables) const {
-  assert(banks.size() == mask_tables.size());
-  std::vector<ReplayLane> lanes(banks.size());
-  for (std::size_t b = 0; b < banks.size(); ++b) {
-    lanes[b] = ReplayLane{banks[b], mask_tables[b]};
-  }
-  BlockExecutor::replay(program(id), lanes);
-}
-
 std::uint64_t Controller::total_instructions() const noexcept {
   std::uint64_t n = 0;
   for (const auto& s : stages_) n += s.program->size();

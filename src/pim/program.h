@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -126,13 +125,6 @@ class Controller {
     return *stages_.at(id).program;
   }
   const std::string& name(std::size_t id) const { return stages_.at(id).name; }
-
-  /// Broadcast one stage to many blocks (the SIMD-across-banks execution
-  /// the architecture relies on): one lock-step replay with every bank a
-  /// lane. Each bank gets its own mask table.
-  void run_stage(std::size_t id,
-                 std::span<BlockExecutor* const> banks,
-                 std::span<const std::vector<RowMask>> mask_tables) const;
 
   std::uint64_t total_instructions() const noexcept;
   std::uint64_t total_rom_bits() const noexcept;

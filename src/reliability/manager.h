@@ -23,18 +23,18 @@
 //      superbanks (arch::ChipConfig::plan_for_degree(n, failed_banks)).
 //
 // Every verify/retry/repair cycle is accounted and lands in
-// SimReport::reliability; metric names live under cryptopim.reliability.*.
+// SimReport::reliability.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ntt/params.h"
 #include "ntt/poly.h"
-#include "obs/metrics.h"
 #include "pim/block.h"
 #include "pim/switch.h"
 #include "reliability/fault_model.h"
@@ -82,8 +82,6 @@ struct RelStats {
   std::uint64_t overhead_cycles() const noexcept {
     return verify_cycles + repair_cycles + retry_cycles;
   }
-  /// Mirror into `reg` as cryptopim.reliability.* counters.
-  void publish(obs::MetricsRegistry& reg) const;
 };
 
 /// The superbank is beyond local repair; the chip must degrade.

@@ -96,16 +96,6 @@ void CryptoPimSimulator::set_reliability(
   pool_.clear();
 }
 
-CryptoPimSimulator::StageMetrics::StageMetrics(obs::MetricsRegistry& reg)
-    : exec(reg),
-      stages(&reg.counter("cryptopim.sim.stages", "stages")),
-      cycles_scale(&reg.counter("cryptopim.sim.cycles.scale", "cycles")),
-      cycles_butterfly(
-          &reg.counter("cryptopim.sim.cycles.butterfly", "cycles")),
-      cycles_pointwise(
-          &reg.counter("cryptopim.sim.cycles.pointwise", "cycles")),
-      stage_cycles(&reg.histogram("cryptopim.sim.stage_cycles", "cycles")) {}
-
 void CryptoPimSimulator::reserve_regions(pim::BlockExecutor& exec) const {
   exec.reserve_region(kOwnBase, 3 * width_);
   if (rel_ != nullptr) {
@@ -159,7 +149,6 @@ void CryptoPimSimulator::compile() {
   auto record = [this](std::uint8_t first_slot, const auto& body) {
     pim::MemoryBlock blk;
     pim::BlockExecutor e(blk, pim::RowMask(), device_);
-    e.set_metrics(active_metrics_);
     reserve_regions(e);
     pim::Program prog;
     {
@@ -345,13 +334,10 @@ void CryptoPimSimulator::attach_obs(PolyState& st, bool wall) const {
 }
 
 void CryptoPimSimulator::accumulate(PolyState& st,
-                                    const std::string& stage_name,
-                                    obs::Counter* kind_cycles, bool wall) {
-  pim::ExecStats stage_total;
+                                    const std::string& stage_name, bool wall) {
   for (auto& bank : st.banks) {
-    stage_total += bank.exec->stats();
+    report_.totals += bank.exec->stats();
   }
-  report_.totals += stage_total;
 
 #if CRYPTOPIM_TRACING
   if (active_tracer_ != nullptr) {
@@ -369,18 +355,11 @@ void CryptoPimSimulator::accumulate(PolyState& st,
   }
 #endif
 
-  // Metrics: per-stage-kind cycle counters plus the ExecStats facade.
-  const StageMetrics& m = *stage_metrics_;
-  kind_cycles->add(st.banks[0].exec->stats().cycles);
-  m.stages->add(1);
-  stage_total.publish(m.exec);
-
   // Banks run in lock-step, so the critical path is one bank's cycles.
   // B's softbank runs concurrently with A's: its stages cost energy but
   // no wall time.
   if (wall) {
     const std::uint64_t cycles = st.banks[0].exec->stats().cycles;
-    m.stage_cycles->add(cycles);
     report_.wall_cycles += cycles;
     report_.stage_cycles.push_back(cycles);
     report_.stage_names.push_back(stage_name);
@@ -425,9 +404,9 @@ CryptoPimSimulator::open_stage(std::span<const Leg> legs) {
 
 void CryptoPimSimulator::close_stage(
     std::span<const Leg> legs, std::vector<std::unique_ptr<PolyState>>& next,
-    const std::string& name, obs::Counter* kind_cycles) {
+    const std::string& name) {
   for (std::size_t i = 0; i < legs.size(); ++i) {
-    accumulate(*next[i], name, kind_cycles, legs[i].wall);
+    accumulate(*next[i], name, legs[i].wall);
     release_state(std::move(*legs[i].st));
     *legs[i].st = std::move(next[i]);
   }
@@ -450,7 +429,7 @@ void CryptoPimSimulator::stage_scale(std::span<const Leg> legs) {
     load_factors(*next[i], *legs[i].factors);
   }
   pim::BlockExecutor::replay(*scale_prog_, lanes);
-  close_stage(legs, next, "scale", stage_metrics_->cycles_scale);
+  close_stage(legs, next, "scale");
 }
 
 void CryptoPimSimulator::stage_butterfly(std::uint32_t stride,
@@ -503,8 +482,7 @@ void CryptoPimSimulator::stage_butterfly(std::uint32_t stride,
   // (lock-step); the per-bank mask table selects which rows each phase
   // drives.
   pim::BlockExecutor::replay(*butterfly_prog_, lanes);
-  close_stage(legs, next, butterfly_name(stride),
-              stage_metrics_->cycles_butterfly);
+  close_stage(legs, next, butterfly_name(stride));
 }
 
 void CryptoPimSimulator::stage_pointwise(std::unique_ptr<PolyState>& a,
@@ -526,8 +504,7 @@ void CryptoPimSimulator::stage_pointwise(std::unique_ptr<PolyState>& a,
     lanes.push_back({&e, all_rows_});
   }
   pim::BlockExecutor::replay(*pointwise_prog_, lanes);
-  close_stage({&leg, 1}, next, "pointwise",
-              stage_metrics_->cycles_pointwise);
+  close_stage({&leg, 1}, next, "pointwise");
   release_state(std::move(b));
 }
 
@@ -596,11 +573,8 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
   for (const auto c : b) {
     if (c >= params_.q) throw std::invalid_argument("coefficient >= q");
   }
-  active_metrics_ =
-      custom_metrics_ != nullptr ? custom_metrics_ : &obs::metrics();
   if (images_.scale_a.empty()) build_factor_rows();
   if (scale_prog_ == nullptr) compile();
-  stage_metrics_ = std::make_unique<StageMetrics>(*active_metrics_);
   obs::Tracer& tr = custom_tracer_ != nullptr ? *custom_tracer_ : obs::tracer();
   active_tracer_ = (CRYPTOPIM_TRACING && tr.enabled()) ? &tr : nullptr;
   if (active_tracer_ != nullptr) {
@@ -638,13 +612,11 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
       }
     } catch (const reliability::UnrecoverableFault&) {
       report_.reliability = rel_->stats();
-      report_.reliability.publish(*active_metrics_);
       active_tracer_ = nullptr;
       throw;
     }
     rel_->finish_run(ok);
     report_.reliability = rel_->stats();
-    report_.reliability.publish(*active_metrics_);
     if (!ok) {
       active_tracer_ = nullptr;
       throw reliability::UnrecoverableFault(
@@ -660,9 +632,6 @@ ntt::Poly CryptoPimSimulator::multiply(const ntt::Poly& a,
 #endif
   }
 
-  active_metrics_->counter("cryptopim.sim.multiplies", "ops").add(1);
-  active_metrics_->counter("cryptopim.sim.wall_cycles", "cycles")
-      .add(report_.wall_cycles);
   active_tracer_ = nullptr;
   return c;
 }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "ntt/ntt.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ntt/params.h"
 #include "ntt/poly.h"
@@ -51,8 +50,9 @@ struct SimReport {
   double latency_us = 0;          ///< wall_cycles * cycle time
   double energy_uj = 0;
   /// Per-stage cycle counts along the critical (A) path, in pipeline
-  /// order — the input the pipelined-streaming simulator beats on.
-  /// Invariant (tested): sum(stage_cycles) == wall_cycles.
+  /// order: the slowest one is the pipelined design's beat. Invariants
+  /// (tested): sum(stage_cycles) == wall_cycles, and the trace is the
+  /// same for every multiply of one simulator (fixed microcode).
   std::vector<std::uint64_t> stage_cycles;
   /// Stage names parallel to stage_cycles ("scale", "butterfly/s8", ...).
   std::vector<std::string> stage_names;
@@ -87,9 +87,9 @@ class CryptoPimSimulator {
   const ntt::NttParams& params() const noexcept { return params_; }
 
   // -- observability ---------------------------------------------------------
-  // By default the simulator records into the process-global tracer and
-  // metrics registry (obs::tracer() / obs::metrics()); tracing only
-  // happens while the tracer is enabled. Tests may redirect both.
+  // By default the simulator records into the process-global tracer
+  // (obs::tracer()); tracing only happens while the tracer is enabled.
+  // Tests may redirect it. SimReport is the run's ledger.
   //
   // Trace layout: track b = bank b of the critical (A) path; track
   // kSoftbankTrackBase + b = softbank b of the concurrent B path; track
@@ -98,7 +98,6 @@ class CryptoPimSimulator {
   static constexpr std::uint32_t kSoftbankTrackBase = 1u << 15;
   static constexpr std::uint32_t kPipelineTrack = 1u << 16;
   void set_tracer(obs::Tracer* tracer) noexcept { custom_tracer_ = tracer; }
-  void set_metrics(obs::MetricsRegistry* reg) noexcept { custom_metrics_ = reg; }
 
   // -- fault tolerance --------------------------------------------------------
   // With a manager attached, every stage block gets its faults planted
@@ -170,28 +169,15 @@ class CryptoPimSimulator {
   /// consumed states to the pool and moves each leg onto its next state.
   void close_stage(std::span<const Leg> legs,
                    std::vector<std::unique_ptr<PolyState>>& next,
-                   const std::string& name, obs::Counter* kind_cycles);
+                   const std::string& name);
 
   /// Attaches tracer, track and base cycle to a freshly acquired stage
   /// state: bank tracks on the wall (A) path, softbank tracks on B. Both
   /// paths of a stage start where the wall path's stage starts, so the
   /// timeline shows the overlap.
   void attach_obs(PolyState& st, bool wall) const;
-  /// Registry entries the stage accounting writes, looked up once per
-  /// multiply() in its registry.
-  struct StageMetrics {
-    explicit StageMetrics(obs::MetricsRegistry& reg);
-    pim::ExecMetrics exec;
-    obs::Counter* stages;
-    obs::Counter* cycles_scale;
-    obs::Counter* cycles_butterfly;
-    obs::Counter* cycles_pointwise;
-    obs::Histogram* stage_cycles;
-  };
-  /// Folds a finished stage state into report_, the trace and the
-  /// metrics; `kind_cycles` is its stage kind's cycle counter.
-  void accumulate(PolyState& st, const std::string& stage_name,
-                  obs::Counter* kind_cycles, bool wall);
+  /// Folds a finished stage state into report_ and the trace.
+  void accumulate(PolyState& st, const std::string& stage_name, bool wall);
 
   ntt::NttParams params_;
   pim::DeviceModel device_;
@@ -230,11 +216,8 @@ class CryptoPimSimulator {
   /// Stage states at rest (regions reserved), reset on acquire.
   std::vector<std::unique_ptr<PolyState>> pool_;
   obs::Tracer* custom_tracer_ = nullptr;
-  obs::MetricsRegistry* custom_metrics_ = nullptr;
   // Resolved per multiply(): nullptr when tracing is off for the run.
   obs::Tracer* active_tracer_ = nullptr;
-  obs::MetricsRegistry* active_metrics_ = nullptr;
-  std::unique_ptr<StageMetrics> stage_metrics_;
 };
 
 }  // namespace cryptopim::sim

@@ -28,7 +28,7 @@
 #include "ntt/word_ntt.h"
 #include "runtime/backend.h"
 #include "runtime/serving.h"
-#include "sim/pipelined.h"
+#include "sim/simulator.h"
 
 namespace cp = cryptopim;
 using cp::Xoshiro256;
@@ -196,22 +196,18 @@ TEST_F(BackendDiff, WordMatchesOracleAtEveryPaperDegree) {
 }
 
 TEST_F(BackendDiff, BatchExecutionMatchesSingleExecution) {
-  // A batch streamed through the pipelined crossbar simulator must give
-  // the products of one-at-a-time execution on both functional tiers.
+  // A batch run job after job through one crossbar simulator (the
+  // pipelined design's stream) must give the products of one-at-a-time
+  // execution on both functional tiers.
   Xoshiro256 rng(kDiffSeed ^ 0xBA);
   const NttParams params = NttParams::make(64, 7681);
-  std::vector<std::pair<Poly, Poly>> pairs;
-  for (int i = 0; i < 4; ++i) {
-    pairs.emplace_back(cp::ntt::sample_uniform(64, 7681, rng),
-                       cp::ntt::sample_uniform(64, 7681, rng));
-  }
-  cp::sim::PipelinedSimulator pipe(params);
-  const auto streamed = pipe.multiply_stream(pairs);
-  ASSERT_EQ(streamed.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [a, b] = pairs[i];
-    EXPECT_EQ(streamed[i], gate_.execute(params, a, b).product) << "job " << i;
-    EXPECT_EQ(streamed[i], word_.execute(params, a, b).product) << "job " << i;
+  cp::sim::CryptoPimSimulator stream(params);
+  for (int job = 0; job < 4; ++job) {
+    const Poly a = cp::ntt::sample_uniform(64, 7681, rng);
+    const Poly b = cp::ntt::sample_uniform(64, 7681, rng);
+    const Poly streamed = stream.multiply(a, b);
+    EXPECT_EQ(streamed, gate_.execute(params, a, b).product) << "job " << job;
+    EXPECT_EQ(streamed, word_.execute(params, a, b).product) << "job " << job;
   }
 }
 

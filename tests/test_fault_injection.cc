@@ -11,7 +11,7 @@
 #include "pim/circuits/reduction.h"
 #include "pim/switch.h"
 #include "reliability/manager.h"
-#include "sim/pipelined.h"
+#include "sim/simulator.h"
 
 namespace cryptopim::pim {
 namespace {
@@ -171,35 +171,33 @@ TEST(StuckFault, DestinationBlockFaultCaughtByTransferParity) {
 
 TEST(StuckFault, MidPipelineFaultCaughtAndRecovered) {
   // A stuck cell in a mid-pipeline stage block corrupts jobs streaming
-  // through the PipelinedSimulator; the reliability layer must catch it,
-  // remap the column, and deliver bit-exact results for every job.
+  // through one simulator; the reliability layer must catch it, remap the
+  // column, and deliver bit-exact results for every job.
   const auto params = ntt::NttParams::for_degree(256);
   reliability::ReliabilityConfig rc;
   rc.verify.points = 2;
   reliability::ReliabilityManager rm(rc, params);
   rm.fault_model().add_stuck_at(/*block=*/7, /*col=*/10, /*row=*/4, true);
 
-  sim::PipelinedSimulator pipe(params);
-  pipe.set_reliability(&rm);
+  sim::CryptoPimSimulator simu(params);
+  simu.set_reliability(&rm);
   ntt::GsNttEngine engine(params);
   Xoshiro256 rng(31);
-  std::vector<std::pair<ntt::Poly, ntt::Poly>> pairs;
-  for (int i = 0; i < 2; ++i) {
+  for (int job = 0; job < 2; ++job) {
     ntt::Poly a(params.n), b(params.n);
     for (auto& c : a) c = static_cast<std::uint32_t>(rng.next_below(params.q));
     for (auto& c : b) c = static_cast<std::uint32_t>(rng.next_below(params.q));
-    pairs.emplace_back(std::move(a), std::move(b));
+    EXPECT_EQ(simu.multiply(a, b), engine.negacyclic_multiply(a, b))
+        << "job " << job;
+    const auto& s = simu.report().reliability;
+    EXPECT_TRUE(s.verified) << "job " << job;
+    if (job == 0) {
+      EXPECT_GT(s.parity_mismatches + s.write_verify_failures, 0u);
+      EXPECT_GE(s.columns_remapped, 1u);
+    } else {
+      EXPECT_EQ(s.attempts, 1u);  // the repair persists
+    }
   }
-  const auto results = pipe.multiply_stream(pairs);
-  ASSERT_EQ(results.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(results[i],
-              engine.negacyclic_multiply(pairs[i].first, pairs[i].second));
-  }
-  const auto& s = pipe.report().reliability;
-  EXPECT_TRUE(s.verified);
-  EXPECT_GT(s.parity_mismatches + s.write_verify_failures, 0u);
-  EXPECT_GE(s.columns_remapped, 1u);
 }
 
 TEST(StuckFault, ZeroRailFaultIsCatastrophic) {

@@ -1,5 +1,5 @@
 // Tests for the observability layer (src/obs): JSON round-trips, trace
-// nesting and Chrome-trace export, metrics snapshots, BenchReporter
+// nesting and Chrome-trace export, histograms, BenchReporter
 // files, windowed time series, SLO accounting, the request-lifecycle
 // event log, and two integration invariants: pipeline-track spans of a
 // simulated multiplication sum exactly to the reported wall cycles, and
@@ -135,30 +135,8 @@ TEST(Tracer, ChromeTraceExportIsValidJson) {
 
 // -------------------------------------------------------------- Metrics --
 
-TEST(Metrics, SnapshotRoundTripsThroughJsonText) {
-  MetricsRegistry reg;
-  reg.counter("cryptopim.test.cycles", "cycles").add(12345);
-  reg.counter("cryptopim.test.ops", "ops").add(7);
-  auto& h = reg.histogram("cryptopim.test.latency", "cycles");
-  for (const std::uint64_t v : {0u, 1u, 5u, 5u, 900u}) h.add(v);
-
-  const Json snap = reg.snapshot();
-  const auto parsed = parse_json(snap.dump());
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  const auto restored = MetricsRegistry::from_snapshot(parsed.value);
-  EXPECT_EQ(restored.snapshot(), snap);
-
-  EXPECT_EQ(restored.counters().at("cryptopim.test.cycles").value(), 12345u);
-  const auto& rh = restored.histograms().at("cryptopim.test.latency");
-  EXPECT_EQ(rh.count(), 5u);
-  EXPECT_EQ(rh.sum(), 911u);
-  EXPECT_EQ(rh.min(), 0u);
-  EXPECT_EQ(rh.max(), 900u);
-}
-
 TEST(Metrics, HistogramBucketsArePowersOfTwo) {
-  MetricsRegistry reg;
-  auto& hist = reg.histogram("h");
+  Histogram hist;
   hist.add(0);  // bucket 0
   hist.add(1);  // bucket 1: [1, 2)
   hist.add(6);  // bucket 3: [4, 8)
@@ -170,8 +148,7 @@ TEST(Metrics, HistogramBucketsArePowersOfTwo) {
 }
 
 TEST(Metrics, HistogramQuantileWalksBuckets) {
-  MetricsRegistry reg;
-  auto& hist = reg.histogram("h");
+  Histogram hist;
   EXPECT_EQ(hist.quantile(0.5), 0u);  // empty
   // 90 fast samples and 10 slow outliers: the p50 sits in the fast
   // bucket, the p99 in the slow one. Bucket resolution is a factor of
@@ -190,8 +167,7 @@ TEST(Metrics, HistogramEmptyIsAllZeros) {
   // every quantile (including the p=0 and p=1 extremes) returns 0, and
   // the mean does not divide by zero. Serving reports lean on this when
   // a run completes nothing.
-  MetricsRegistry reg;
-  auto& hist = reg.histogram("h");
+  Histogram hist;
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.sum(), 0u);
   EXPECT_EQ(hist.min(), 0u);
@@ -205,8 +181,7 @@ TEST(Metrics, HistogramEmptyIsAllZeros) {
 TEST(Metrics, HistogramFullQuantileIsExactMax) {
   // p >= 1 must return the exact maximum (not a pow2 bucket edge), and
   // p beyond 1 clamps rather than reading past the last bucket.
-  MetricsRegistry reg;
-  auto& hist = reg.histogram("h");
+  Histogram hist;
   hist.add(3);
   hist.add(1000);  // bucket [512, 1024), well below its upper edge
   EXPECT_EQ(hist.quantile(1.0), 1000u);
@@ -217,8 +192,7 @@ TEST(Metrics, HistogramFullQuantileIsExactMax) {
 TEST(Metrics, HistogramSumFeedsMeanReporting) {
   // sum() is the accessor the CLI's mean-latency line is built from:
   // mean() == sum()/count() exactly, with no bucket quantisation.
-  MetricsRegistry reg;
-  auto& hist = reg.histogram("h");
+  Histogram hist;
   hist.add(7);
   hist.add(9);
   hist.add(20);
@@ -227,8 +201,7 @@ TEST(Metrics, HistogramSumFeedsMeanReporting) {
 }
 
 TEST(Metrics, HistogramQuantileClampsToObservedRange) {
-  MetricsRegistry reg;
-  auto& hist = reg.histogram("h");
+  Histogram hist;
   hist.add(100);
   // One sample: every quantile is that sample (min == max clamps the
   // bucket edge from both sides).
@@ -613,9 +586,7 @@ TEST(TraceIntegration, PipelineSpansSumToWallCycles) {
   sim::CryptoPimSimulator simu(p);
   Tracer local;
   local.set_enabled(true);
-  MetricsRegistry reg;
   simu.set_tracer(&local);
-  simu.set_metrics(&reg);
 
   Xoshiro256 rng(11);
   const auto a = ntt::sample_uniform(p.n, p.q, rng);
@@ -645,11 +616,6 @@ TEST(TraceIntegration, PipelineSpansSumToWallCycles) {
   EXPECT_TRUE(saw_bank);
   EXPECT_TRUE(saw_softbank);
   EXPECT_TRUE(saw_circuit);
-
-  // Metrics mirrored the stage ledger.
-  EXPECT_EQ(reg.counters().at("cryptopim.sim.wall_cycles").value(),
-            rep.wall_cycles);
-  EXPECT_GT(reg.counters().at("cryptopim.exec.cycles").value(), 0u);
 }
 
 TEST(TraceIntegration, SecondMultiplyStillTracesCircuits) {
@@ -661,9 +627,7 @@ TEST(TraceIntegration, SecondMultiplyStillTracesCircuits) {
   sim::CryptoPimSimulator simu(p);
   Tracer local;
   local.set_enabled(true);
-  MetricsRegistry reg;
   simu.set_tracer(&local);
-  simu.set_metrics(&reg);
   Xoshiro256 rng(12);
   const auto a = ntt::sample_uniform(p.n, p.q, rng);
   const auto b = ntt::sample_uniform(p.n, p.q, rng);

@@ -159,35 +159,5 @@ TEST(Controller, StageLibraryBookkeeping) {
   EXPECT_EQ(ctrl.total_rom_bits(), 3u * 36);
 }
 
-TEST(Controller, BroadcastRunsEveryBank) {
-  Controller ctrl;
-  Program prog;
-  MemoryBlock scratch;
-  BlockExecutor se(scratch, RowMask::first_rows(4));
-  const Col src = se.alloc_col();
-  const Col dst = se.alloc_col();
-  {
-    const ProgramRecorder rec(se, prog, 0);
-    se.gate1(GateKind::kNot, dst, src);
-  }
-  const auto id = ctrl.add_stage("not", std::move(prog));
-
-  MemoryBlock b0, b1;
-  BlockExecutor e0(b0, RowMask::first_rows(4));
-  BlockExecutor e1(b1, RowMask::first_rows(4));
-  // Same column ids exist in every block; allocate to mirror the layout.
-  (void)e0.alloc_col();
-  (void)e0.alloc_col();
-  (void)e1.alloc_col();
-  (void)e1.alloc_col();
-  std::vector<BlockExecutor*> banks = {&e0, &e1};
-  const std::vector<std::vector<RowMask>> tables = {
-      {RowMask::first_rows(4)}, {RowMask::first_rows(2)}};
-  ctrl.run_stage(id, banks, tables);
-  EXPECT_TRUE(b0.column(dst).get(3));   // NOT 0 = 1 on all 4 rows
-  EXPECT_TRUE(b1.column(dst).get(1));
-  EXPECT_FALSE(b1.column(dst).get(3));  // outside bank 1's mask
-}
-
 }  // namespace
 }  // namespace cryptopim::pim

@@ -14,7 +14,6 @@
 #include "reliability/fault_model.h"
 #include "reliability/manager.h"
 #include "reliability/verifier.h"
-#include "sim/pipelined.h"
 #include "sim/simulator.h"
 
 namespace cryptopim::reliability {
@@ -430,7 +429,8 @@ TEST(FaultCampaign, BitReproducibleAndZeroEscapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined simulator pass-through
+// A stream of jobs through one manager: repairs are hardware state and
+// persist from job to job.
 
 TEST(PipelinedReliability, StreamRecoversMidPipelineFaults) {
   const auto params = ntt::NttParams::for_degree(256);
@@ -440,41 +440,39 @@ TEST(PipelinedReliability, StreamRecoversMidPipelineFaults) {
   // A mid-pipeline stuck cell (stage 5 of bank 0) hits every job that
   // flows through that stage.
   rm.fault_model().add_stuck_at(5, 11, 3, true);
-  sim::PipelinedSimulator pipe(params);
-  pipe.set_reliability(&rm);
+  sim::CryptoPimSimulator simu(params);
+  simu.set_reliability(&rm);
   ntt::GsNttEngine engine(params);
   Xoshiro256 rng(21);
-  std::vector<std::pair<ntt::Poly, ntt::Poly>> pairs;
-  for (int i = 0; i < 3; ++i) {
-    pairs.emplace_back(random_poly(params.n, params.q, rng),
-                       random_poly(params.n, params.q, rng));
+  for (int job = 0; job < 3; ++job) {
+    const auto a = random_poly(params.n, params.q, rng);
+    const auto b = random_poly(params.n, params.q, rng);
+    EXPECT_EQ(simu.multiply(a, b), engine.negacyclic_multiply(a, b))
+        << "job " << job;
+    const auto& s = simu.report().reliability;
+    EXPECT_TRUE(s.enabled) << "job " << job;
+    EXPECT_TRUE(s.verified) << "job " << job;
+    if (job == 0) {
+      // The first job hits the fault and repairs it...
+      EXPECT_GE(s.columns_remapped, 1u);
+      EXPECT_GE(s.attempts, 2u);
+    } else {
+      // ...later jobs inherit the remap and pass on their first attempt.
+      EXPECT_EQ(s.attempts, 1u) << "job " << job;
+      EXPECT_EQ(s.columns_remapped, 0u) << "job " << job;
+    }
   }
-  const auto results = pipe.multiply_stream(pairs);
-  ASSERT_EQ(results.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(results[i],
-              engine.negacyclic_multiply(pairs[i].first, pairs[i].second))
-        << "job " << i;
-  }
-  const auto& s = pipe.report().reliability;
-  EXPECT_TRUE(s.enabled);
-  EXPECT_TRUE(s.verified);
-  // The first job hits the fault and repairs it; later jobs inherit the
-  // remap and pass on their first attempt.
-  EXPECT_GE(s.columns_remapped, 1u);
-  EXPECT_GE(s.attempts, static_cast<unsigned>(pairs.size()) + 1);
 }
 
 TEST(PipelinedReliability, NoManagerLeavesLedgerEmpty) {
   const auto params = ntt::NttParams::for_degree(256);
-  sim::PipelinedSimulator pipe(params);
+  sim::CryptoPimSimulator simu(params);
   Xoshiro256 rng(22);
-  std::vector<std::pair<ntt::Poly, ntt::Poly>> pairs;
-  pairs.emplace_back(random_poly(params.n, params.q, rng),
-                     random_poly(params.n, params.q, rng));
-  pipe.multiply_stream(pairs);
-  EXPECT_FALSE(pipe.report().reliability.enabled);
-  EXPECT_EQ(pipe.report().reliability.overhead_cycles(), 0u);
+  const auto a = random_poly(params.n, params.q, rng);
+  const auto b = random_poly(params.n, params.q, rng);
+  simu.multiply(a, b);
+  EXPECT_FALSE(simu.report().reliability.enabled);
+  EXPECT_EQ(simu.report().reliability.overhead_cycles(), 0u);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "model/performance.h"
 #include "ntt/poly.h"
-#include "obs/metrics.h"
 #include "reliability/manager.h"
 
 namespace cryptopim::sim {
@@ -34,6 +33,68 @@ TEST_P(SimDegrees, MatchesSoftwareNtt) {
 INSTANTIATE_TEST_SUITE_P(UpTo4k, SimDegrees,
                          ::testing::Values(16u, 64u, 256u, 512u, 1024u, 2048u,
                                            4096u));
+
+// The simulator is the shift-add NTT multiplier of the paper: its only
+// runtime modular arithmetic is the Algorithm-3 shift-add Barrett and
+// Montgomery circuits (lazy reduction, B carried in the Montgomery
+// domain, conjugate inverse schedule). It must agree with the
+// generic-arithmetic engine bit-for-bit on every paper parameter set.
+class ShiftAddNtt : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ShiftAddNtt, MatchesGenericEngine) {
+  const std::uint32_t n = GetParam();
+  const auto p = ntt::NttParams::for_degree(n);
+  CryptoPimSimulator hw(p);
+  const ntt::GsNttEngine sw(p);
+  Xoshiro256 rng(n + 31);
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto a = ntt::sample_uniform(n, p.q, rng);
+    const auto b = ntt::sample_uniform(n, p.q, rng);
+    ASSERT_EQ(hw.multiply(a, b), sw.negacyclic_multiply(a, b));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperDegrees, ShiftAddNtt,
+                         ::testing::Values(16u, 256u, 512u, 1024u, 2048u,
+                                           8192u));
+
+TEST(ShiftAddNttEdge, SparseAndExtremeInputs) {
+  const auto p = ntt::NttParams::for_degree(256);
+  CryptoPimSimulator hw(p);
+  const ntt::GsNttEngine sw(p);
+
+  // All-(q-1) inputs stress the lazy-reduction bounds hardest.
+  const ntt::Poly max_poly(p.n, p.q - 1);
+  EXPECT_EQ(hw.multiply(max_poly, max_poly),
+            sw.negacyclic_multiply(max_poly, max_poly));
+
+  // Monomials exercise every twiddle path individually.
+  for (const std::uint32_t k : {0u, 1u, 127u, 255u}) {
+    ntt::Poly mono(p.n, 0);
+    mono[k] = p.q - 1;
+    EXPECT_EQ(hw.multiply(mono, max_poly),
+              sw.negacyclic_multiply(mono, max_poly))
+        << "k=" << k;
+  }
+
+  // Zero annihilates.
+  const ntt::Poly zero(p.n, 0);
+  EXPECT_EQ(hw.multiply(zero, max_poly), zero);
+}
+
+TEST(ShiftAddNttEdge, AllThreeModuli) {
+  // One run per modulus family so every Algorithm-3 branch is exercised.
+  for (const std::uint32_t n : {256u, 512u, 2048u}) {
+    const auto p = ntt::NttParams::for_degree(n);
+    CryptoPimSimulator hw(p);
+    const ntt::GsNttEngine sw(p);
+    Xoshiro256 rng(n);
+    const auto a = ntt::sample_uniform(n, p.q, rng);
+    const auto b = ntt::sample_uniform(n, p.q, rng);
+    EXPECT_EQ(hw.multiply(a, b), sw.negacyclic_multiply(a, b))
+        << "q=" << p.q;
+  }
+}
 
 TEST(Sim, MatchesSchoolbookOracle) {
   const auto p = ntt::NttParams::for_degree(256);
@@ -323,35 +384,6 @@ TEST(SimPinned, ReportTotalsMatchTheRecordedOracle) {
               row.write_verify_failures) << at;
     EXPECT_EQ(r.reliability.columns_remapped, row.columns_remapped) << at;
   }
-}
-
-TEST(SimMetrics, ReduceSamplesGoToTheSimulatorsRegistry) {
-  // The reduction circuits sample their cycle counts while the stage
-  // programs compile; a simulator with its own registry keeps them there.
-  const char* kMont = "cryptopim.reduce.montgomery_cycles";
-  const char* kBarrett = "cryptopim.reduce.barrett_cycles";
-  const auto global_count = [](const char* name) -> std::uint64_t {
-    const auto& hs = obs::metrics().histograms();
-    const auto it = hs.find(name);
-    return it == hs.end() ? 0 : it->second.count();
-  };
-  const std::uint64_t mont_before = global_count(kMont);
-  const std::uint64_t barrett_before = global_count(kBarrett);
-
-  const auto p = ntt::NttParams::for_degree(256);
-  obs::MetricsRegistry reg;
-  CryptoPimSimulator simu(p);
-  simu.set_metrics(&reg);
-  Xoshiro256 rng(256);
-  (void)simu.multiply(ntt::sample_uniform(p.n, p.q, rng),
-                      ntt::sample_uniform(p.n, p.q, rng));
-
-  ASSERT_EQ(reg.histograms().count(kMont), 1u);
-  ASSERT_EQ(reg.histograms().count(kBarrett), 1u);
-  EXPECT_GT(reg.histograms().at(kMont).count(), 0u);
-  EXPECT_GT(reg.histograms().at(kBarrett).count(), 0u);
-  EXPECT_EQ(global_count(kMont), mont_before);
-  EXPECT_EQ(global_count(kBarrett), barrett_before);
 }
 
 }  // namespace
